@@ -54,7 +54,7 @@ class GrowthFit:
 
 @dataclass
 class RuntimeReport:
-    """Median wall-clock seconds per scheme and their ratio."""
+    """Median wall-clock seconds per configuration label and their ratio."""
 
     seconds: Dict[str, float]
     ratio: float
@@ -190,6 +190,18 @@ def error_profile(s1: Union[RunResult, PdeRunResult],
     return np.abs(a - b)
 
 
+def _runtime_labels(config_pair: Tuple[SchemeConfig, SchemeConfig]) -> Tuple[str, str]:
+    """One label per configuration: its scheme, plus what tells two of one scheme apart."""
+    first, second = config_pair
+    if first == second:
+        raise ParameterError(f"both configurations are {first}")
+    if first.scheme != second.scheme:
+        return first.scheme, second.scheme
+    if first.delay_mode != second.delay_mode:
+        return tuple(f"{cfg.scheme}-{cfg.delay_mode}" for cfg in config_pair)
+    return tuple(f"{cfg.scheme}-h{cfg.h!r}-T{cfg.T!r}" for cfg in config_pair)
+
+
 def compare_runtime(problem: Union[ScalarDelayProblem, PdeProblem],
                     config_pair: Tuple[SchemeConfig, SchemeConfig],
                     repetitions: int = 3) -> RuntimeReport:
@@ -197,16 +209,16 @@ def compare_runtime(problem: Union[ScalarDelayProblem, PdeProblem],
 
     One warm-up run per configuration is discarded (imports, caches), then
     ``repetitions`` timed runs feed a median.  Only the ratio is meaningful
-    across machines; absolute seconds are reported for context.
+    across machines; absolute seconds are reported for context.  Entries are
+    keyed by scheme; two configurations of one scheme are told apart by
+    delay mode (``ie-grid``, ``ie-kernel``), else by step and horizon.
     """
     if repetitions < 3:
         raise ParameterError(f"need >= 3 repetitions for a median, got {repetitions}")
     runner = run_pde if isinstance(problem, PdeProblem) else run
     seconds: Dict[str, float] = {}
-    labels = []
-    for cfg in config_pair:
-        label = cfg.scheme
-        labels.append(label)
+    labels = _runtime_labels(config_pair)
+    for label, cfg in zip(labels, config_pair):
         runner(problem, cfg)
         times = [runner(problem, cfg).wall_clock for _ in range(repetitions)]
         seconds[label] = float(median(times))

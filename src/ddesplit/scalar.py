@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DivergenceError, ParameterError, SingularStepError
 from .history import (
+    SNAP_RTOL,
     DelayGrid,
     HistorySegment,
     delay_kernel_integral,
@@ -73,6 +74,11 @@ class SchemeConfig:
             raise ParameterError(f"unknown scheme {self.scheme!r}")
         if self.delay_mode not in ("grid", "kernel"):
             raise ParameterError(f"unknown delay_mode {self.delay_mode!r}")
+        # A step that does not divide the horizon would end the run short of T.
+        ratio = self.T / self.h
+        if abs(ratio - round(ratio)) > SNAP_RTOL * ratio:
+            raise ParameterError(
+                f"h = {self.h} does not divide T = {self.T} (T/h = {ratio!r})")
 
     @property
     def n_steps(self) -> int:

@@ -12,11 +12,11 @@ spectral radii are norm independent.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericalError, ParameterError, RootConvergenceError
 from .history import DelayGrid
@@ -233,16 +233,80 @@ def stability_profiles(op: np.ndarray, N: int) -> Tuple[np.ndarray, np.ndarray]:
     return S, r
 
 
+# The first-row sequences are produced this many steps at a time, so memory
+# stays O(_CHUNK + m) at any horizon.
+_CHUNK = 4096
+
+
+def _first_rows(op: CompanionOperator, n_max: int
+                ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+    """First rows of op^0, ..., op^n_max, a chunk at a time.
+
+    Row i of op^j is the first row of op^{j-i} (a unit vector when j < i),
+    and the first row of op^j is (c_j, b_{j-m}, ..., b_{j-1}) with
+    c_j = alpha c_{j-1} + beta c_{j-1-m}, c_0 = 1, b_j = beta c_j, and both
+    sequences zero at negative j.  Yields (j0, c, b) where c[tail + i] and
+    b[tail + i] hold c_{j0+i} and b_{j0+i}; the tail = 2m + 2 leading
+    entries repeat the values before j0, which covers every window the
+    diagnostics read.  The scalar loop rounds exactly as the O(m) row update
+    does, fl(fl(alpha c_{j-1}) + b_{j-1-m}).
+    """
+    m = op.m
+    tail = 2 * m + 2
+    alpha, beta = float(op.alpha), float(op.beta)
+    seq = [0.0] * tail + [1.0]
+    for j0 in range(0, n_max + 1, _CHUNK):
+        append = seq.append
+        lag = len(seq) - m - 1
+        c_j = seq[-1]
+        for _ in range(tail + min(_CHUNK, n_max + 1 - j0) - len(seq)):
+            c_j = alpha * c_j + beta * seq[lag]
+            append(c_j)
+            lag += 1
+        c = np.array(seq)
+        bad = np.flatnonzero(~np.isfinite(c[tail:]))
+        if bad.size:
+            raise NumericalError(f"power overflow at n = {j0 + int(bad[0])}")
+        yield j0, c, beta * c
+        seq = seq[-tail:]
+
+
+def _running_sums(sums: np.ndarray, x: np.ndarray, tail: int) -> np.ndarray:
+    """The last ``tail`` entries of ``sums``, then its running sum continued over x.
+
+    Accumulates left to right from sums[-1], so the values are those of adding
+    one term per step.
+    """
+    return np.concatenate((sums[-tail:], np.cumsum(np.concatenate((sums[-1:], x)))[1:]))
+
+
+def _max_row_norm(heads: np.ndarray, window: np.ndarray, m: int) -> float:
+    """Largest 1-norm among the rows (heads[i], window[m-i : 2m-i]), i < len(heads).
+
+    The rows share one Hankel window, so prefix sums of |window| estimate
+    every row norm in O(m) together.  Only the rows within rounding of the
+    largest estimate are summed again, laid out as the dense rows, so the
+    result has the bits of the dense row sums.
+    """
+    i = np.arange(heads.size)
+    prefix = np.concatenate(([0.0], np.cumsum(np.abs(window))))
+    estimate = np.abs(heads) + (prefix[2 * m - i] - prefix[m - i])
+    slack = 16 * (m + 1) * np.finfo(float).eps * (prefix[-1] + np.abs(heads).max())
+    # "not below" keeps every row when an estimate is not finite.
+    near = np.flatnonzero(~(estimate < estimate.max() - slack))
+    rows = np.column_stack((heads[near], sliding_window_view(window, m)[m - near]))
+    return float(np.abs(rows).sum(axis=1).max())
+
+
 def companion_profiles(op: CompanionOperator, checkpoints: Sequence[int]
                        ) -> Tuple[np.ndarray, np.ndarray]:
     """Summability and Ritt values of a companion operator at checkpoints.
 
-    Exploits the shift structure: row i of op^j equals the first row of
-    op^{j-i} (a unit vector when j < i), so powers and partial sums are
-    generated by an O(m) vector recurrence and only sliding windows of the
-    last m+2 first rows / partial-sum rows are kept.  Total cost is
-    O(max(checkpoints) * m) plus O(m^2) per checkpoint, which is what makes
-    six-figure horizons affordable.
+    Exploits the shift structure: every row of op^j and of the partial sum
+    sum_{j<k} op^j is read off the scalar first-row sequence of
+    :func:`_first_rows` and its running sums.  Total cost is an O(N) scalar
+    recurrence, N = max(checkpoints), plus O(m) per checkpoint, in
+    O(chunk + m) memory, which is what makes six-figure horizons affordable.
 
     Returns (S_values, r_values) aligned with the sorted deduplicated
     checkpoint list; entries match the dense :func:`stability_profiles`
@@ -252,70 +316,37 @@ def companion_profiles(op: CompanionOperator, checkpoints: Sequence[int]
     if not ks or ks[0] < 1:
         raise ParameterError("checkpoints must be positive integers")
     m = op.m
-    d = m + 1
-    alpha, beta = op.alpha, op.beta
-    N = ks[-1]
-    want = set(ks)
-
-    # r_j = first row of op^j, B_j = sum_{q<=j} r_q.  Window offset i from
-    # the newest entry holds index j_current - i.
-    r_win: deque = deque(maxlen=m + 2)
-    B_win: deque = deque(maxlen=m + 2)
-    r0 = np.zeros(d)
-    r0[0] = 1.0
-    r_win.appendleft(r0)
-    B_win.appendleft(r0.copy())
-    S_out: dict = {}
-    r_out: dict = {}
-
-    def s_value(k: int) -> float:
-        # ||A_{k-1}||_inf; row i = sum of units e_{i-l}, l < min(i,k),
-        # plus B_{k-1-i} when k-1 >= i.  Called right after B_{k-1} lands
-        # in the window, so B_{k-1-i} sits at offset i.
-        best = 0.0
-        for i in range(d):
-            vec = np.zeros(d)
-            nunits = min(i, k)
-            if nunits > 0:
-                vec[i - nunits + 1:i + 1] = 1.0
-            if k - 1 >= i:
-                vec = vec + B_win[i]
-            best = max(best, float(np.abs(vec).sum()))
-        return best
-
-    def ritt_value(n: int) -> float:
-        # n * ||op^n - op^{n-1}||_inf; rows with i >= n differ by two unit
-        # vectors (1-norm exactly 2).  Called right after r_n lands in the
-        # window, so r_{n-i} sits at offset i.
-        best = 2.0 if n <= m else 0.0
-        for i in range(min(n - 1, m) + 1):
-            vec = r_win[i] - r_win[i + 1]
-            best = max(best, float(np.abs(vec).sum()))
-        return n * best
-
-    if 1 in want:
-        S_out[1] = s_value(1)
-    cur = r0
-    B_cur = r0.copy()
+    tail = 2 * m + 2
+    units = np.repeat([1.0, 0.0], m)
+    S_vals: list = []
+    r_vals: list = []
+    sum_c = sum_b = np.zeros(tail)  # running sums of c and b, zero before j = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, N + 1):
-            new = np.empty(d)
-            new[0] = alpha * cur[0] + cur[1]
-            new[1:-1] = cur[2:]
-            new[-1] = beta * cur[0]
-            cur = new
-            if not np.isfinite(cur[0]):
-                raise NumericalError(f"power overflow at n = {j}")
-            B_cur = B_cur + cur
-            r_win.appendleft(cur)
-            B_win.appendleft(B_cur)
-            if j in want:
-                r_out[j] = ritt_value(j)
-            if j + 1 in want:
-                S_out[j + 1] = s_value(j + 1)
-    S_vals = np.array([S_out[k] for k in ks], dtype=float)
-    r_vals = np.array([r_out[k] for k in ks], dtype=float)
-    return S_vals, r_vals
+        for j0, c, b in _first_rows(op, ks[-1]):
+            sum_c = _running_sums(sum_c, c[tail:], tail)
+            sum_b = _running_sums(sum_b, b[tail:], tail)
+            j1 = j0 + c.size - tail
+            # S_k = ||sum_{j<k} op^j||.  For i < k, row i is the units
+            # e_1 + ... + e_i plus the sum of the first rows of op^0..op^{k-1-i}:
+            # (sum_c_{k-1-i}, sum_b_{k-2-m-i+q} for q = 1..m).  For i >= k it
+            # is k units, no larger than row k - 1 = (1, ..., 1, 0, ...).
+            while len(S_vals) < len(ks) and ks[len(S_vals)] <= j1:
+                k = ks[len(S_vals)]
+                p = tail + k - 1 - j0          # position of index k - 1
+                heads = sum_c[p + 1 - min(k, m + 1):p + 1][::-1]
+                window = sum_b[p - 2 * m:p] + units
+                S_vals.append(_max_row_norm(heads, window, m))
+            # r_n = n ||op^n - op^{n-1}||.  For i < n, row i is the first row
+            # of op^{n-i} minus that of op^{n-1-i}; for i >= n it is the
+            # difference of two units, norm 2.
+            while len(r_vals) < len(ks) and ks[len(r_vals)] < j1:
+                n = ks[len(r_vals)]
+                p = tail + n - j0              # position of index n
+                heads = np.diff(c[p - min(n, m + 1):p + 1])[::-1]
+                window = np.diff(b[p - 2 * m - 1:p])
+                r_vals.append(n * max(2.0 if n <= m else 0.0,
+                                      _max_row_norm(heads, window, m)))
+    return np.array(S_vals, dtype=float), np.array(r_vals, dtype=float)
 
 
 def power_norm_sum(op: np.ndarray, N: int) -> float:
@@ -345,30 +376,41 @@ def companion_power_norm_sum(op: CompanionOperator, N: int) -> float:
     """Sum of power norms sum_{n<N} ||op^n||_inf for a companion operator.
 
     Row i of op^n is the first row of op^{n-i} (or a unit vector), so
-    ||op^n||_inf is the maximum of the last m+1 first-row 1-norms; one O(m)
-    recurrence plus a circular window of norms covers six-figure N.
+    ||op^n||_inf is the maximum of the last m+1 first-row 1-norms.  Each
+    1-norm is |c_j| plus a window sum of |b|, taken from prefix sums local
+    to one chunk of :func:`_first_rows`: an O(N) scalar recurrence in
+    O(chunk + m) memory covers six-figure N.
     """
     if N < 1:
         raise ParameterError(f"N must be >= 1, got {N}")
     m = op.m
-    d = m + 1
-    cur = np.zeros(d)
-    cur[0] = 1.0
-    norms = np.empty(d)
-    norms[0] = 1.0
-    total = 1.0
+    tail = 2 * m + 2
+    total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, N):
-            new = np.empty(d)
-            new[0] = op.alpha * cur[0] + cur[1]
-            new[1:-1] = cur[2:]
-            new[-1] = op.beta * cur[0]
-            cur = new
-            if not np.isfinite(cur[0]):
-                raise NumericalError(f"power overflow at n = {j}")
-            norms[j % d] = float(np.abs(cur).sum())
-            total += float(norms[:j + 1].max()) if j < m else float(norms.max())
+        for _, c, b in _first_rows(op, N - 1):
+            # 1-norms of the first rows from m before the chunk to its end.
+            # Before j = 0 they read 0: every window reaching there also
+            # holds op^0's row, whose norm 1 the unit rows of op^n share.
+            prefix = np.concatenate(([0.0], np.cumsum(np.abs(b))))
+            row_norms = (np.abs(c[tail - m:])
+                         + prefix[tail - m:c.size] - prefix[tail - 2 * m:c.size - m])
+            total += float(_sliding_max(row_norms, m + 1).sum())
     return total
+
+
+def _sliding_max(x: np.ndarray, w: int) -> np.ndarray:
+    """out[i] = max(x[i:i+w]) in O(len(x)) (van Herk / Gil-Werman).
+
+    A window spans at most two aligned blocks of w, so it is the max of a
+    block suffix and a block prefix.
+    """
+    n = x.size
+    blocks = np.full(-(-n // w) * w, -np.inf)
+    blocks[:n] = x
+    blocks = blocks.reshape(-1, w)
+    prefix = np.maximum.accumulate(blocks, axis=1).ravel()
+    suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    return np.maximum(suffix[:n - w + 1], prefix[w - 1:n])
 
 
 def verify_telescoping(R_list: Sequence[np.ndarray],

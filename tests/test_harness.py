@@ -217,6 +217,30 @@ class TestCompareRuntime:
         assert set(rep.seconds) == {"ie", "lt"}
         assert rep.ratio > 0.0
 
+    def test_one_scheme_in_two_delay_modes_keeps_both_entries(self):
+        prob = ScalarDelayProblem(a=-0.3, b=-1.0, tau=-0.5,
+                                  history=lambda t: 1.0)
+        pair = (SchemeConfig(h=0.1, T=0.5, scheme="ie", delay_mode="grid"),
+                SchemeConfig(h=0.1, T=0.5, scheme="ie", delay_mode="kernel"))
+        rep = compare_runtime(prob, pair)
+        assert set(rep.seconds) == {"ie-grid", "ie-kernel"}
+        assert rep.ratio == rep.seconds["ie-grid"] / rep.seconds["ie-kernel"]
+
+    def test_one_scheme_at_two_steps_keeps_both_entries(self):
+        prob = ScalarDelayProblem(a=-0.3, b=-1.0, tau=-0.5,
+                                  history=lambda t: 1.0)
+        pair = (SchemeConfig(h=0.1, T=0.5, scheme="lt"),
+                SchemeConfig(h=0.05, T=0.5, scheme="lt"))
+        rep = compare_runtime(prob, pair)
+        assert set(rep.seconds) == {"lt-h0.1-T0.5", "lt-h0.05-T0.5"}
+
+    def test_identical_configurations_rejected(self):
+        prob = ScalarDelayProblem(a=-0.3, b=-1.0, tau=-0.5,
+                                  history=lambda t: 1.0)
+        cfg = SchemeConfig(h=0.1, T=0.5, scheme="ie")
+        with pytest.raises(ParameterError):
+            compare_runtime(prob, (cfg, SchemeConfig(h=0.1, T=0.5, scheme="ie")))
+
     def test_too_few_repetitions_rejected(self):
         prob = ScalarDelayProblem(a=-0.3, b=-1.0, tau=-0.5,
                                   history=lambda t: 1.0)

@@ -58,6 +58,18 @@ class TestProblemAndConfig:
         assert SchemeConfig(h=0.1, T=1.0).n_steps == 10
         assert SchemeConfig(h=0.001, T=40.0).n_steps == 40000
 
+    def test_step_that_does_not_divide_the_horizon_rejected(self):
+        # T/h = 3.33...: three steps would end the run at t = 0.9, not T.
+        with pytest.raises(ParameterError, match="does not divide"):
+            SchemeConfig(h=0.3, T=1.0)
+        with pytest.raises(ParameterError, match="does not divide"):
+            SchemeConfig(h=0.1, T=1.0 + 1e-6)
+
+    def test_rounding_noise_in_the_step_count_accepted(self):
+        # 0.3 / 0.1 is 2.9999999999999996 in floating point.
+        assert SchemeConfig(h=0.1, T=0.3).n_steps == 3
+        assert SchemeConfig(h=0.002, T=8.0).n_steps == 4000
+
     def test_run_result_length_mismatch_rejected(self):
         with pytest.raises(ParameterError):
             RunResult(times=[0.0, 0.1], values=[1.0], scheme="ie")

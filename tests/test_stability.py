@@ -1,8 +1,13 @@
 """Companion operators, spectral radii, summability, and exact identities."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ddesplit import stability
 from ddesplit.errors import NumericalError, ParameterError
 from ddesplit.scalar import ScalarDelayProblem, StepCoefficients, ie_step, lt_step
 from ddesplit.stability import (
@@ -290,6 +295,145 @@ class TestPowerNormSums:
         with pytest.raises(NumericalError):
             companion_power_norm_sum(CompanionOperator(m=1, alpha=2.0,
                                                        beta=0.5), 1200)
+
+
+def _first_rows_by_row_update(op, n_max):
+    """First rows of op^0, ..., op^n_max by the O(m) update of the row vector."""
+    row = np.zeros(op.m + 1)
+    row[0] = 1.0
+    yield row
+    for _ in range(n_max):
+        new = np.empty_like(row)
+        new[0] = op.alpha * row[0] + row[1]
+        new[1:-1] = row[2:]
+        new[-1] = op.beta * row[0]
+        row = new
+        yield row
+
+
+def _abs_power_norms(mat, n_max):
+    """||(|A|)^n||_inf for n = 0..n_max: the rounding scale of A^n on any route."""
+    power = np.eye(mat.shape[0])
+    norms = [1.0]
+    for _ in range(n_max):
+        power = power @ np.abs(mat)
+        norms.append(power.sum(axis=1).max())
+    return np.array(norms)
+
+
+class TestFirstRowSequence:
+    def test_chunks_match_the_row_update_bit_for_bit(self):
+        coeffs = StepCoefficients.from_params(SCALAR_A, SCALAR_B, 0.001)
+        op = CompanionOperator(m=257, alpha=coeffs.alpha, beta=coeffs.beta)
+        m, tail, chunk = op.m, 2 * op.m + 2, stability._CHUNK
+        n_max = 3 * chunk + 100
+        c_all, b_all, starts = [], [], []
+        for j0, c, b in stability._first_rows(op, n_max):
+            starts.append(j0)
+            # The tail repeats the values before the chunk (zero before j = 0).
+            before = np.concatenate((np.zeros(tail), c_all[-1] if c_all else []))
+            assert np.array_equal(c[:tail], before[-tail:])
+            assert np.array_equal(b, op.beta * c)
+            c_all.append(c[tail:])
+            b_all.append(b[tail:])
+        assert starts == [0, chunk, 2 * chunk, 3 * chunk]
+        c = np.concatenate(c_all)
+        b = np.concatenate((np.zeros(m), np.concatenate(b_all)))
+        assert c.size == n_max + 1
+        for j, row in enumerate(_first_rows_by_row_update(op, n_max)):
+            # First row of op^j: (c_j, beta c_{j-m}, ..., beta c_{j-1}).
+            assert row[0] == c[j]
+            assert np.array_equal(row[1:], b[j:j + m]), j
+
+    def test_benchmark_profiles_keep_the_row_update_rounding(self):
+        # Values of the O(m) row-vector update with a deque window, which the
+        # first-row route reproduces bit for bit; the checkpoints straddle
+        # the first chunk boundaries.
+        coeffs = StepCoefficients.from_params(SCALAR_A, SCALAR_B, 0.001)
+        op = CompanionOperator(m=257, alpha=coeffs.alpha, beta=coeffs.beta)
+        S, r = companion_profiles(
+            op, [1, 257, 258, 259, 4096, 4097, 4354, 8192, 12289, 20000])
+        assert S.tolist() == [
+            1.0, 446.98302776115565, 449.45775909729105, 451.92612017926393,
+            172.08253081282498, 171.24863021484094, 442.7807330919993,
+            229.02808545099276, 285.71489407342614, 474.36379782128085]
+        assert r.tolist() == [
+            2.0, 514.0, 1.6435255738724417, 1.6587365541211592,
+            41.341849597595115, 41.35194282259453, 43.45550104733616,
+            57.389604893318015, 59.7547735298988, 49.03803845397094]
+        assert companion_power_norm_sum(op, 20000) == pytest.approx(
+            21181.028618608118, rel=1e-13)
+
+    def test_rows_tied_within_rounding_are_all_summed(self):
+        # Rotations of one window have equal norms in exact arithmetic but
+        # round differently; the result is the largest dense row sum.
+        rng = np.random.default_rng(0)
+        m = 257
+        w = rng.uniform(0.5, 1.5, m) * 10.0 ** rng.integers(-3, 4, size=m)
+        window = np.concatenate((w, w))
+        heads = np.full(m + 1, 0.5)
+        sums = [float(np.abs(np.concatenate(([heads[i]], window[m - i:2 * m - i]))).sum())
+                for i in range(m + 1)]
+        assert len(set(sums)) > 1
+        assert stability._max_row_norm(heads, window, m) == max(sums)
+
+    # (m, alpha, beta, n): the step the O(m) row update reports overflow at.
+    @pytest.mark.parametrize("m,alpha,beta,n", [
+        (1, 2.0, 0.5, 888),
+        (3, 1.5, -2.0, 1865),
+        (2, 1.1, 0.05, 5470),
+    ])
+    def test_overflow_step_is_reported(self, m, alpha, beta, n):
+        op = CompanionOperator(m=m, alpha=alpha, beta=beta)
+        message = rf"^power overflow at n = {n}$"
+        with pytest.raises(NumericalError, match=message):
+            companion_profiles(op, [10 * n])
+        with pytest.raises(NumericalError, match=message):
+            companion_power_norm_sum(op, 10 * n)
+        with pytest.raises(NumericalError, match=message):
+            stability_profiles(op.dense(), 10 * n)
+        with pytest.raises(NumericalError, match=message):
+            power_norm_sum(op.dense(), 10 * n)
+
+
+@st.composite
+def _operators_and_checkpoints(draw):
+    m = draw(st.integers(1, 8))
+    alpha = draw(st.floats(-1.5, 1.5))
+    beta = draw(st.floats(-1.5, 1.5))
+    N = draw(st.integers(1, 200))
+    early = draw(st.integers(1, min(N, m + 1)))
+    later = draw(st.lists(st.integers(1, N), max_size=6))
+    chunk = draw(st.sampled_from([1, 3, 16, stability._CHUNK]))
+    return CompanionOperator(m=m, alpha=alpha, beta=beta), N, [early, N] + later, chunk
+
+
+class TestCompanionRouteProperties:
+    """The first-row routes against repeated dense multiplication.
+
+    Both routes round differently, by at most a few ulps of the powers of
+    |A|, which bounds every tolerance below.  Small chunk sizes put chunk
+    boundaries inside the horizon.
+    """
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(_operators_and_checkpoints())
+    def test_profiles_and_power_norm_sums_match_the_dense_route(self, case):
+        op, N, checkpoints, chunk = case
+        dense = op.dense()
+        with mock.patch.object(stability, "_CHUNK", chunk):
+            S_fast, r_fast = companion_profiles(op, checkpoints)
+            total_fast = companion_power_norm_sum(op, N)
+        S_dense, r_dense = stability_profiles(dense, N)
+        scale = _abs_power_norms(dense, N)
+        partial_scale = np.cumsum(scale)
+        ks = np.array(sorted(set(checkpoints)))
+        tol = 1e-12
+        assert np.all(np.abs(S_fast - S_dense[ks - 1])
+                      <= tol * partial_scale[ks - 1])
+        assert np.all(np.abs(r_fast - r_dense[ks - 1])
+                      <= tol * ks * (scale[ks] + scale[ks - 1]))
+        assert abs(total_fast - power_norm_sum(dense, N)) <= tol * partial_scale[N - 1]
 
 
 class TestTelescoping:
