@@ -23,6 +23,9 @@ from .errors import InsufficientHistoryError, ParameterError
 # 0.257/0.001 land at 256.99999999999997 in floating point.
 SNAP_RTOL = 1e-9
 
+# e^{-1}: the transport kernel's decay across one cell.
+_E1 = float(np.exp(-1.0))
+
 
 class DelayGrid:
     """Uniform step size paired with a (negative) delay.
@@ -146,7 +149,8 @@ def delayed_value(buffer: RingBuffer, grid: DelayGrid):
     capacity at least ``m + 1``.
     """
     if grid.delta == 0.0:
-        return buffer.oldest
+        # ``buffer.oldest`` without the property call; this runs once per step.
+        return buffer._slots[buffer._head]
     if buffer.capacity < grid.m + 1:
         raise InsufficientHistoryError(
             f"fractional delay needs capacity >= {grid.m + 1}, "
@@ -190,20 +194,30 @@ class HistorySegment:
         return cls([history(s) for s in sigma], grid.h)
 
 
+def _cell_integrals(g: np.ndarray) -> list:
+    """Per-cell quadrature w_j = e^{-1} g_j + (1 - 2 e^{-1}) g_{j+1}, as floats.
+
+    w_j is the exact integral of the exponential kernel against the linear
+    interpolant on one cell; both weights are positive, so every suffix sum
+    below is a convex combination (maximum principle comes for free).
+    """
+    return (_E1 * g[:-1] + (1.0 - 2.0 * _E1) * g[1:]).tolist()
+
+
 def _suffix_kernel_sums(g: np.ndarray) -> np.ndarray:
     """Suffix sums J_i = sum_{j>=i} e^{i-j} * w_j of the per-cell quadrature.
 
-    w_j = e^{-1} g_j + (1 - 2 e^{-1}) g_{j+1} is the exact integral of the
-    exponential kernel against the linear interpolant on one cell; both
-    weights are positive, so the result is a convex combination (maximum
-    principle comes for free).
+    Runs the recurrence J_i = w_i + e^{-1} J_{i+1} from J_m = 0 in Python
+    floats, which round exactly as float64 array arithmetic does.
     """
-    e1 = np.exp(-1.0)
-    w = e1 * g[:-1] + (1.0 - 2.0 * e1) * g[1:]
-    J = np.zeros(g.size)
-    for i in range(g.size - 2, -1, -1):
-        J[i] = w[i] + e1 * J[i + 1]
-    return J
+    e1 = _E1
+    acc = 0.0
+    J = [acc]
+    for w in reversed(_cell_integrals(g)):
+        acc = w + e1 * acc
+        J.append(acc)
+    J.reverse()
+    return np.array(J, dtype=float)
 
 
 def transport_resolvent_apply(f: float, g, h: float) -> HistorySegment:
@@ -231,7 +245,7 @@ def transport_resolvent_apply(f: float, g, h: float) -> HistorySegment:
         g = g.values
     g = np.asarray(g, dtype=float)
     m = g.size - 1
-    rho = np.exp(-1.0) ** np.arange(m, -1, -1) * f + _suffix_kernel_sums(g)
+    rho = _E1 ** np.arange(m, -1, -1) * f + _suffix_kernel_sums(g)
     return HistorySegment(rho, h)
 
 
@@ -245,7 +259,14 @@ def delay_kernel_integral(g, h: float) -> float:
     if isinstance(g, HistorySegment):
         g = g.values
     g = np.asarray(g, dtype=float)
-    return float(h * _suffix_kernel_sums(g)[0])
+    if g.size == 0:
+        raise ParameterError("kernel integral needs at least one sample")
+    # Only J_0 is needed: one pass of the recurrence, no array.
+    e1 = _E1
+    acc = 0.0
+    for w in reversed(_cell_integrals(g)):
+        acc = w + e1 * acc
+    return float(h * acc)
 
 
 def l2_norm_trapezoid(g, h: float) -> float:

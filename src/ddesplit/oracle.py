@@ -125,15 +125,21 @@ def poly_history(t):
 
     The fit is valid on [-8, 0]; evaluation outside that range is allowed
     but warns, since the polynomial diverges quickly from the solution.
-    Accepts scalar or array ``t``.
+    Accepts scalar or array ``t``.  A Python number is evaluated in Python
+    floats, which round exactly as the float64 array arithmetic does.
     """
-    tarr = np.asarray(t, dtype=float)
-    if np.any(tarr < -8.0) or np.any(tarr > 0.0):
+    if isinstance(t, (int, float)):
+        x = float(t)
+        outside = x < -8.0 or x > 0.0
+    else:
+        x = np.asarray(t, dtype=float)
+        outside = np.any(x < -8.0) or np.any(x > 0.0)
+    if outside:
         warnings.warn("polynomial history evaluated outside its fit range [-8, 0]",
                       stacklevel=2)
-    acc = np.full(tarr.shape, POLY10_COEFFS[-1])
+    acc = POLY10_COEFFS[-1]
     for c in POLY10_COEFFS[-2::-1]:
-        acc = acc * tarr + c
-    if np.ndim(t) == 0:
-        return float(acc)
-    return acc
+        acc = acc * x + c
+    if isinstance(acc, np.ndarray) and acc.ndim:
+        return acc
+    return float(acc)

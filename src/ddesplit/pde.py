@@ -30,7 +30,7 @@ from .errors import (
     SingularStepError,
     SingularSystemError,
 )
-from .history import DelayGrid, FieldRingBuffer, init_from_history
+from .history import SNAP_RTOL, DelayGrid, FieldRingBuffer, init_from_history
 from .scalar import EPS_DEN, SchemeConfig
 
 
@@ -212,7 +212,10 @@ def ie_pde_step(u_n: np.ndarray, buffer: FieldRingBuffer, t_new: float,
     idx = np.arange(problem.Nx - 1)
     dense[idx + 1, idx] = sys.sub
     dense[idx, idx + 1] = sys.sup
-    return np.linalg.solve(dense, rhs)
+    try:
+        return np.linalg.solve(dense, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"singular system at t = {t_new}: {exc}") from exc
 
 
 def lt_pde_step(u_n: np.ndarray, buffer: FieldRingBuffer, t_n: float,
@@ -230,6 +233,25 @@ def lt_pde_step(u_n: np.ndarray, buffer: FieldRingBuffer, t_n: float,
     if abs(den) <= EPS_DEN:
         raise SingularStepError(f"1 - h*lambda = {den} below guard")
     return (u_star + h * problem.b * u_delay) / den
+
+
+def _snapshot_steps(times: Sequence[float], h: float, T: float) -> Dict[int, float]:
+    """Step index of each requested snapshot time, keyed to the time as given.
+
+    A time outside [0, T], or more than ``SNAP_RTOL`` (relative) away from a
+    multiple of ``h``, raises ``ParameterError`` instead of being dropped or
+    moved to a neighbouring step.
+    """
+    steps: Dict[int, float] = {}
+    for t in map(float, times):
+        if not 0.0 <= t <= T:
+            raise ParameterError(f"snapshot time {t} outside [0, {T}]")
+        ratio = t / h
+        k = round(ratio)
+        if abs(ratio - k) > SNAP_RTOL * max(1.0, ratio):
+            raise ParameterError(f"snapshot time {t} is not on the step grid h = {h}")
+        steps[k] = t
+    return steps
 
 
 @dataclass
@@ -257,6 +279,7 @@ def run_pde(problem: PdeProblem, config: SchemeConfig,
         raise ParameterError("field runs require the delay to be an integer "
                              "multiple of the step")
     h = config.h
+    snap_idx = _snapshot_steps(snapshot_times, h, config.T)
     xg = problem.xgrid
     start = time.perf_counter()
     samples = init_from_history(
@@ -281,7 +304,6 @@ def run_pde(problem: PdeProblem, config: SchemeConfig,
     l2 = np.empty(n_steps + 1)
     center[0] = center_of(u)
     l2[0] = sqrt_dx * float(np.linalg.norm(u))
-    snap_idx = {int(round(t / h)): float(t) for t in snapshot_times}
     snapshots: Dict[float, np.ndarray] = {}
     if 0 in snap_idx:
         snapshots[snap_idx[0]] = u.copy()

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
@@ -174,35 +175,35 @@ def lt_step_kernel(u_prev: float, rho_prev: HistorySegment, a_frozen: float,
     return u_new, transport_resolvent_apply(w, rho_prev, h)
 
 
-def _check_finite(u: float, step: int) -> None:
-    if not math.isfinite(u):
-        raise DivergenceError(f"non-finite value at step {step}", step=step)
+def _diverged(step: int) -> DivergenceError:
+    return DivergenceError(f"non-finite value at step {step}", step=step)
 
 
 def _run_grid(problem: ScalarDelayProblem, config: SchemeConfig) -> np.ndarray:
     grid = DelayGrid(config.h, problem.tau)
     capacity = grid.m if grid.is_integer_lag else grid.m + 1
     buffer = init_from_history(problem.history, grid, capacity)
-    h = config.h
-    n_steps = config.n_steps
-    values = np.empty(n_steps + 1)
+    h, a, b = config.h, problem.a, problem.b
+    linear = problem.a_mode == "linear"
+    push, isfinite = buffer.push, math.isfinite
     u = float(problem.history(0.0))
-    values[0] = u
+    values = array("d", [u])
     if config.scheme == "ie":
-        for n in range(n_steps):
-            buffer.push(u)
-            u = ie_step(u, delayed_value(buffer, grid),
-                        problem.a_of((n + 1) * h), problem.b, h)
-            _check_finite(u, n + 1)
-            values[n + 1] = u
+        for n in range(1, config.n_steps + 1):
+            push(u)
+            u = ie_step(u, delayed_value(buffer, grid), a * (n * h) if linear else a, b, h)
+            if not isfinite(u):
+                raise _diverged(n)
+            values.append(u)
     else:
-        for n in range(n_steps):
+        for n in range(config.n_steps):
             u_delay = delayed_value(buffer, grid)
-            buffer.push(u)
-            u = lt_step(u, u_delay, problem.a_of(n * h), problem.b, h)
-            _check_finite(u, n + 1)
-            values[n + 1] = u
-    return values
+            push(u)
+            u = lt_step(u, u_delay, a * (n * h) if linear else a, b, h)
+            if not isfinite(u):
+                raise _diverged(n + 1)
+            values.append(u)
+    return np.frombuffer(values)
 
 
 def _run_kernel(problem: ScalarDelayProblem, config: SchemeConfig) -> np.ndarray:
@@ -211,18 +212,18 @@ def _run_kernel(problem: ScalarDelayProblem, config: SchemeConfig) -> np.ndarray
         raise ParameterError("kernel mode requires the delay to be an integer "
                              "multiple of the step")
     seg = HistorySegment.from_history(problem.history, grid)
-    h = config.h
-    n_steps = config.n_steps
-    values = np.empty(n_steps + 1)
+    h, a, b = config.h, problem.a, problem.b
+    linear = problem.a_mode == "linear"
     u = float(problem.history(0.0))
-    values[0] = u
-    step = ie_step_kernel if config.scheme == "ie" else lt_step_kernel
-    for n in range(n_steps):
-        t_frozen = (n + 1) * h if config.scheme == "ie" else n * h
-        u, seg = step(u, seg, problem.a_of(t_frozen), problem.b, grid)
-        _check_finite(u, n + 1)
-        values[n + 1] = u
-    return values
+    values = array("d", [u])
+    # ie freezes a(.) at the new time level, lt at the old one.
+    step, level = (ie_step_kernel, 1) if config.scheme == "ie" else (lt_step_kernel, 0)
+    for n in range(config.n_steps):
+        u, seg = step(u, seg, a * ((n + level) * h) if linear else a, b, grid)
+        if not math.isfinite(u):
+            raise _diverged(n + 1)
+        values.append(u)
+    return np.frombuffer(values)
 
 
 def run(problem: ScalarDelayProblem, config: SchemeConfig) -> RunResult:

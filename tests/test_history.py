@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddesplit.errors import InsufficientHistoryError, ParameterError
 from ddesplit.history import (
     DelayGrid,
     HistorySegment,
     RingBuffer,
+    _suffix_kernel_sums,
     delay_kernel_integral,
     delayed_value,
     init_from_history,
@@ -261,6 +264,47 @@ class TestKernelIntegral:
     def test_single_cell_unit_value(self):
         assert delay_kernel_integral(np.ones(2), 1.0) == pytest.approx(
             1.0 - math.exp(-1.0), rel=1e-14)
+
+    def test_empty_samples_rejected(self):
+        with pytest.raises(ParameterError):
+            delay_kernel_integral(np.array([]), 1.0)
+
+
+def _numpy_scalar_suffix_sums(g):
+    """The kernel recurrence one float64 numpy scalar at a time."""
+    e1 = np.exp(-1.0)
+    w = e1 * g[:-1] + (1.0 - 2.0 * e1) * g[1:]
+    J = np.zeros(g.size)
+    for i in range(g.size - 2, -1, -1):
+        J[i] = w[i] + e1 * J[i + 1]
+    return J
+
+
+class TestKernelFastPathBits:
+    """The Python-float recurrence rounds exactly as the numpy-scalar one."""
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 400), st.integers(0, 2**32 - 1),
+           st.floats(-1e200, 1e200), st.floats(1e-4, 10.0))
+    def test_equal_to_the_numpy_scalar_recurrence(self, m, seed, f, h):
+        # Signed samples with magnitudes from 1e-200 to 1e200, a tenth of them zero.
+        rng = np.random.default_rng(seed)
+        g = rng.choice([-1.0, 1.0], m + 1) * 10.0 ** rng.uniform(-200.0, 200.0, m + 1)
+        g[rng.random(m + 1) < 0.1] = 0.0
+        J = _numpy_scalar_suffix_sums(g)
+        assert np.array_equal(_suffix_kernel_sums(g), J)
+        integral = delay_kernel_integral(g, h)
+        assert type(integral) is float
+        assert integral == float(h * J[0])
+        rho = transport_resolvent_apply(f, g, h).values
+        assert np.array_equal(rho, np.exp(-1.0) ** np.arange(m, -1, -1) * f + J)
+
+    def test_non_finite_samples_propagate_as_before(self):
+        g = np.array([1.0, np.inf, -np.inf, 2.0, np.nan, 3.0])
+        with np.errstate(invalid="ignore"):
+            J = _numpy_scalar_suffix_sums(g)
+            assert np.array_equal(_suffix_kernel_sums(g), J, equal_nan=True)
+            assert math.isnan(delay_kernel_integral(g, 0.1))
 
 
 class TestL2Trapezoid:

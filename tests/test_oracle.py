@@ -149,10 +149,9 @@ class TestPolyHistory:
         assert np.abs(poly_history(t) - naive).max() <= 1e-11
 
     def test_warns_outside_the_fit_range(self):
-        with pytest.warns(UserWarning, match="fit range"):
-            poly_history(-9.0)
-        with pytest.warns(UserWarning, match="fit range"):
-            poly_history(0.5)
+        for t in (-9.0, 0.5, 1, np.float64(0.25), np.array(-9.0), np.array([-1.0, 0.1])):
+            with pytest.warns(UserWarning, match="fit range"):
+                poly_history(t)
 
     def test_silent_inside_the_fit_range(self):
         with warnings.catch_warnings():
@@ -165,6 +164,15 @@ class TestPolyHistory:
         arr = poly_history(t)
         assert arr == pytest.approx([poly_history(float(ti)) for ti in t],
                                     rel=1e-15)
+
+    def test_scalar_path_equals_the_array_path_bit_for_bit(self):
+        t = np.linspace(-8.0, 0.0, 1601)
+        scalars = [poly_history(ti) for ti in t.tolist()]
+        assert all(type(v) is float for v in scalars)
+        assert np.array_equal(scalars, poly_history(t))
+        assert poly_history(np.float64(-3.3)) == poly_history(np.array([-3.3]))[0]
+        assert type(poly_history(np.array(-3.3))) is float
+        assert poly_history(-2) == poly_history(-2.0)
 
     def test_fit_tracks_the_quadrature_solution(self):
         t = np.linspace(-8.0, 0.0, 200)

@@ -300,6 +300,28 @@ class TestRunPde:
         assert set(res.snapshots) == {0.0, 0.3}
         assert np.array_equal(res.snapshots[0.0], prob.xgrid)
 
+    @pytest.mark.parametrize("bad", [2.0, -0.04, 0.33])
+    def test_snapshot_off_the_run_rejected(self, bad):
+        # Outside [0, T], or between grid points: neither is moved or dropped.
+        prob = PdeProblem(Nx=4, history=ramp_history, **BENCH_KW)
+        with pytest.raises(ParameterError, match="snapshot time"):
+            run_pde(prob, SchemeConfig(h=0.1, T=1.0, scheme="lt"),
+                    snapshot_times=[0.5, bad])
+
+    def test_snapshot_within_rounding_of_a_grid_point_accepted(self):
+        prob = PdeProblem(Nx=4, history=ramp_history, **BENCH_KW)
+        t = 0.1 + 0.2   # 0.30000000000000004
+        res = run_pde(prob, SchemeConfig(h=0.1, T=1.0, scheme="lt"),
+                      snapshot_times=[t, 1.0])
+        assert set(res.snapshots) == {t, 1.0}
+
+    def test_singular_modulated_ie_system_raises_package_error(self):
+        # lambda(0.5) = 2 makes 1 - h lambda vanish on the single node.
+        prob = PdeProblem(kappa=0.0, lambda0=1.0, lambda1=1.0, T_lambda=2.0, b=0.0,
+                          tau=-1.0, Nx=1, history=zero_history)
+        with pytest.raises(SingularSystemError):
+            run_pde(prob, SchemeConfig(h=0.5, T=1.0, scheme="ie"))
+
     def test_fractional_lag_rejected(self):
         prob = PdeProblem(kappa=0.02, lambda0=-0.8, b=-0.8, tau=-0.257,
                           Nx=4, history=zero_history)

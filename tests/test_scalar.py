@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ddesplit.errors import DivergenceError, ParameterError, SingularStepError
-from ddesplit.history import DelayGrid, HistorySegment
+from ddesplit.history import DelayGrid, HistorySegment, delayed_value, init_from_history
 from ddesplit.oracle import poly_history
 from ddesplit.scalar import (
     RunResult,
@@ -238,6 +238,65 @@ class TestRunGrid:
         res = run(prob, SchemeConfig(h=0.1, T=1.0))
         assert res.wall_clock > 0.0
         assert res.scheme == "ie-grid"
+
+
+class TestRunLoopsBits:
+    """The run loops equal the public one-step maps applied by hand."""
+
+    # h a(t) reaches O(1), so a one-ulp change in a(t) = a t reaches the
+    # step denominator 1 - h a(t) and the trajectory.
+    @pytest.mark.parametrize("scheme", ["ie", "lt"])
+    @pytest.mark.parametrize("tau", [-0.25, -0.2685])
+    def test_grid_run_equals_the_step_maps(self, scheme, tau):
+        prob = ScalarDelayProblem(a=-0.9, b=-2.0, tau=tau, history=poly_history,
+                                  a_mode="linear")
+        h, T = 0.05, 20.0
+        res = run(prob, SchemeConfig(h=h, T=T, scheme=scheme))
+        grid = DelayGrid(h, tau)
+        buffer = init_from_history(prob.history, grid,
+                                   grid.m if grid.is_integer_lag else grid.m + 1)
+        u = prob.history(0.0)
+        expected = [u]
+        for n in range(round(T / h)):
+            if scheme == "ie":
+                buffer.push(u)
+                u = ie_step(u, delayed_value(buffer, grid), prob.a_of((n + 1) * h),
+                            prob.b, h)
+            else:
+                u_delay = delayed_value(buffer, grid)
+                buffer.push(u)
+                u = lt_step(u, u_delay, prob.a_of(n * h), prob.b, h)
+            expected.append(u)
+        assert np.array_equal(res.values, expected)
+
+    @pytest.mark.parametrize("scheme", ["ie", "lt"])
+    def test_kernel_run_equals_the_step_maps(self, scheme):
+        prob = ScalarDelayProblem(a=-0.9, b=-2.0, tau=-0.25, history=poly_history,
+                                  a_mode="linear")
+        h, T = 0.05, 20.0
+        res = run(prob, SchemeConfig(h=h, T=T, scheme=scheme, delay_mode="kernel"))
+        grid = DelayGrid(h, prob.tau)
+        seg = HistorySegment.from_history(prob.history, grid)
+        step = ie_step_kernel if scheme == "ie" else lt_step_kernel
+        u = prob.history(0.0)
+        expected = [u]
+        for n in range(round(T / h)):
+            t_frozen = (n + 1) * h if scheme == "ie" else n * h
+            u, seg = step(u, seg, prob.a_of(t_frozen), prob.b, grid)
+            expected.append(u)
+        assert np.array_equal(res.values, expected)
+
+    # First non-finite step of u' = 0.5 u + 3 u(t - 0.05), history 1 + t,
+    # h = 1e-2, T = 400, as recorded before the loops were rewritten.
+    @pytest.mark.parametrize("scheme,mode,step", [
+        ("ie", "grid", 22784), ("ie", "kernel", 22736),
+        ("lt", "grid", 23310), ("lt", "kernel", 22822),
+    ])
+    def test_first_non_finite_step_is_pinned(self, scheme, mode, step):
+        prob = ScalarDelayProblem(a=0.5, b=3.0, tau=-0.05, history=lambda t: 1.0 + t)
+        with pytest.raises(DivergenceError, match=f"step {step}$") as exc:
+            run(prob, SchemeConfig(h=1e-2, T=400.0, scheme=scheme, delay_mode=mode))
+        assert exc.value.step == step
 
 
 class TestRunKernel:
