@@ -4,6 +4,8 @@ The package covers the scalar model u' = a(t) u + b u(t + tau), its 1-D
 reaction-diffusion extension, ring-buffer history transport with a
 resolvent-form kernel, finite-dimensional stability diagnostics, a
 semi-analytic benchmark solution, and experiment drivers with a CLI.
+The top-level package exports only the error types and ``__version__``;
+everything else is imported from its submodule (``ddesplit.pde``, ...).
 """
 
 from .errors import (
@@ -16,131 +18,16 @@ from .errors import (
     SingularStepError,
     SingularSystemError,
 )
-from .harness import (
-    ConvergenceReport,
-    GrowthFit,
-    RuntimeReport,
-    char_root_rightmost,
-    compare_runtime,
-    convergence_study,
-    error_profile,
-    exp_growth_fit,
-)
-from .history import (
-    DelayGrid,
-    FieldRingBuffer,
-    HistorySegment,
-    RingBuffer,
-    delay_kernel_integral,
-    delayed_value,
-    init_from_history,
-    l2_norm_trapezoid,
-    trace_at_tau,
-    transport_resolvent_apply,
-)
-from .oracle import POLY10_COEFFS, OhiraParams, oo_integrand, oo_residual, oo_solution, poly_history
-from .pde import (
-    PdeProblem,
-    PdeRunResult,
-    Tridiag,
-    assemble_system,
-    ie_pde_step,
-    lt_pde_step,
-    oscillating_history,
-    run_pde,
-    thomas_solve,
-)
-from .scalar import (
-    RunResult,
-    ScalarDelayProblem,
-    SchemeConfig,
-    StepCoefficients,
-    ie_step,
-    ie_step_kernel,
-    lt_step,
-    lt_step_kernel,
-    run,
-)
-from .stability import (
-    CompanionOperator,
-    DiscretePropagators,
-    build_discrete_propagators,
-    companion_power_norm_sum,
-    companion_profiles,
-    defect_norm,
-    dense_spectral_radius,
-    estimate_os_norm,
-    power_norm_sum,
-    spectral_radius,
-    stability_profiles,
-    verify_abel,
-    verify_telescoping,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompanionOperator",
-    "ConvergenceReport",
-    "DelayGrid",
-    "DiscretePropagators",
     "DivergenceError",
-    "FieldRingBuffer",
     "FitError",
-    "GrowthFit",
-    "HistorySegment",
     "InsufficientHistoryError",
     "NumericalError",
-    "OhiraParams",
-    "POLY10_COEFFS",
     "ParameterError",
-    "PdeProblem",
-    "PdeRunResult",
-    "RingBuffer",
     "RootConvergenceError",
-    "RunResult",
-    "RuntimeReport",
-    "ScalarDelayProblem",
-    "SchemeConfig",
     "SingularStepError",
     "SingularSystemError",
-    "StepCoefficients",
-    "Tridiag",
-    "assemble_system",
-    "build_discrete_propagators",
-    "char_root_rightmost",
-    "companion_power_norm_sum",
-    "companion_profiles",
-    "compare_runtime",
-    "convergence_study",
-    "defect_norm",
-    "delay_kernel_integral",
-    "delayed_value",
-    "dense_spectral_radius",
-    "error_profile",
-    "estimate_os_norm",
-    "exp_growth_fit",
-    "ie_pde_step",
-    "ie_step",
-    "ie_step_kernel",
-    "init_from_history",
-    "l2_norm_trapezoid",
-    "lt_pde_step",
-    "lt_step",
-    "lt_step_kernel",
-    "oo_integrand",
-    "oo_residual",
-    "oo_solution",
-    "oscillating_history",
-    "poly_history",
-    "power_norm_sum",
-    "run",
-    "run_pde",
-    "spectral_radius",
-    "stability_profiles",
-    "thomas_solve",
-    "trace_at_tau",
-    "transport_resolvent_apply",
-    "verify_abel",
-    "verify_telescoping",
 ]

@@ -113,13 +113,6 @@ class RingBuffer:
         return self.capacity
 
 
-class FieldRingBuffer(RingBuffer):
-    """Ring buffer whose slots are spatial fields (1-D arrays).
-
-    Semantics are identical to :class:`RingBuffer`, componentwise.
-    """
-
-
 def init_from_history(history: Callable[[float], object], grid: DelayGrid,
                       capacity: int) -> RingBuffer:
     """Fill a buffer with samples ``history(tau + j*h)``, oldest first.

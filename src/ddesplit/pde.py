@@ -2,16 +2,20 @@
 
     u_t = kappa u_xx + lambda(t) u + b u(t + tau, x),   tau < 0.
 
-Two first-order schemes share the field ring buffer:
+Two first-order schemes share the field ring buffer.  Both read the delayed
+field explicitly from the post-shift oldest buffer entry; ``run_pde`` calls
+each at the time level ``SchemeConfig.level`` of its reaction coefficient.
 
-* implicit Euler: one backward step of the full stiff part; the delayed
-  field is read explicitly from the post-shift oldest buffer entry.  With a
-  constant reaction coefficient the tridiagonal factorization is reused; a
-  time-dependent coefficient forces a fresh assembly and factorization of
+* implicit Euler (level 1): one backward step of the full stiff part.  With
+  a constant reaction coefficient the tridiagonal factorization is reused; a
+  time-dependent coefficient forces a fresh assembly and a dense solve of
   the full system every step.
-* Lie-Trotter splitting: cached implicit diffusion solve, ring-buffer
-  transport shift, then a pointwise algebraic reaction/delay update with the
-  coefficient frozen at the old time level.
+* Lie-Trotter splitting (level 0): cached implicit diffusion solve,
+  ring-buffer transport shift, then a pointwise algebraic reaction/delay
+  update with the coefficient frozen at the old time level.
+
+Every tridiagonal system is factored by LAPACK ``dgttrf`` (partial
+pivoting) and solved by ``dgttrs``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .errors import (
     SingularStepError,
     SingularSystemError,
 )
-from .history import SNAP_RTOL, DelayGrid, FieldRingBuffer, init_from_history
+from .history import SNAP_RTOL, DelayGrid, RingBuffer, init_from_history
 from .scalar import EPS_DEN, SchemeConfig
 
 
@@ -102,31 +106,29 @@ class Tridiag:
 
     def factorize(self) -> "Tridiag":
         """Cache the LU factorization; subsequent solves only substitute."""
-        if self.diag.size == 1:
-            if self.diag[0] == 0.0:
-                raise SingularSystemError("zero pivot in 1x1 system")
-            self._factor = ("scalar", float(self.diag[0]))
-            return self
-        if self.diag.size == 2:
-            # The LAPACK wrapper rejects n = 2; one elimination step by hand.
-            d0 = float(self.diag[0])
-            if d0 == 0.0:
-                raise SingularSystemError("zero pivot in 2x2 system")
-            l10 = float(self.sub[0]) / d0
-            schur = float(self.diag[1]) - l10 * float(self.sup[0])
-            if schur == 0.0:
-                raise SingularSystemError("zero pivot in 2x2 system")
-            self._factor = ("lu2", l10, d0, float(self.sup[0]), schur)
-            return self
-        dl, d, du, du2, ipiv, info = lapack.dgttrf(self.sub, self.diag, self.sup)
-        if info != 0:
-            raise SingularSystemError(f"zero pivot during factorization (info={info})")
-        self._factor = ("lu", dl, d, du, du2, ipiv)
+        self._factor = _gttrf(self.sub, self.diag, self.sup)
         return self
 
     @property
     def factored(self) -> bool:
         return self._factor is not None
+
+
+def _gttrf(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> tuple:
+    """LAPACK ``dgttrf`` factors of the tridiagonal matrix, for every n >= 1.
+
+    The wrapper rejects n < 3, so a smaller system is padded with an
+    uncoupled identity block; its leading factors are unchanged by that.
+    """
+    pad = 3 - diag.size
+    if pad > 0:
+        zeros = np.zeros(pad)
+        sub, sup = np.concatenate((sub, zeros)), np.concatenate((sup, zeros))
+        diag = np.concatenate((diag, np.ones(pad)))
+    dl, d, du, du2, ipiv, info = lapack.dgttrf(sub, diag, sup)
+    if info != 0:
+        raise SingularSystemError(f"zero pivot during factorization (info={info})")
+    return dl, d, du, du2, ipiv
 
 
 def assemble_system(problem: PdeProblem, h: float, t: float,
@@ -146,50 +148,26 @@ def assemble_system(problem: PdeProblem, h: float, t: float,
 
 
 def thomas_solve(sys: Tridiag, rhs: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system for one right-hand side.
+    """Solve the tridiagonal system for one right-hand side by ``dgttrs``.
 
     Uses the cached factorization when present (substitution cost only);
-    otherwise runs a plain elimination sweep without pivoting, which is safe
-    for the strictly diagonally dominant systems assembled here.
+    otherwise factors the system by the same pivoting route without storing
+    the factor on ``sys``.
     """
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != problem_shape(sys):
+    n = sys.diag.size
+    if rhs.shape != (n,):
         raise ParameterError("right-hand side length mismatch")
-    if sys._factor is not None:
-        if sys._factor[0] == "scalar":
-            return rhs / sys._factor[1]
-        if sys._factor[0] == "lu2":
-            _, l10, d0, s01, schur = sys._factor
-            x1 = (rhs[1] - l10 * rhs[0]) / schur
-            return np.array([(rhs[0] - s01 * x1) / d0, x1])
-        _, dl, d, du, du2, ipiv = sys._factor
-        x, info = lapack.dgttrs(dl, d, du, du2, ipiv, rhs)
-        if info != 0:
-            raise SingularSystemError(f"substitution failed (info={info})")
-        return x
-    n = rhs.size
-    d = sys.diag.copy()
-    b = rhs.copy()
-    for i in range(1, n):
-        if d[i - 1] == 0.0:
-            raise SingularSystemError(f"zero pivot at row {i - 1}")
-        w = sys.sub[i - 1] / d[i - 1]
-        d[i] -= w * sys.sup[i - 1]
-        b[i] -= w * b[i - 1]
-    if d[-1] == 0.0:
-        raise SingularSystemError(f"zero pivot at row {n - 1}")
-    x = np.empty(n)
-    x[-1] = b[-1] / d[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (b[i] - sys.sup[i] * x[i + 1]) / d[i]
-    return x
+    factor = sys._factor if sys._factor is not None else _gttrf(sys.sub, sys.diag, sys.sup)
+    if n < 3:
+        rhs = np.concatenate((rhs, np.zeros(3 - n)))
+    x, info = lapack.dgttrs(*factor, rhs)
+    if info != 0:
+        raise SingularSystemError(f"substitution failed (info={info})")
+    return x[:n]
 
 
-def problem_shape(sys: Tridiag) -> tuple:
-    return (sys.diag.size,)
-
-
-def ie_pde_step(u_n: np.ndarray, buffer: FieldRingBuffer, t_new: float,
+def ie_pde_step(u_n: np.ndarray, buffer: RingBuffer, t_new: float,
                 problem: PdeProblem, h: float,
                 cache: Optional[Tridiag] = None) -> np.ndarray:
     """One implicit Euler step to time ``t_new``.
@@ -197,8 +175,8 @@ def ie_pde_step(u_n: np.ndarray, buffer: FieldRingBuffer, t_new: float,
     Shifts the buffer (pushing ``u_n``), reads the post-shift oldest field as
     the delayed value, and solves (I - h kappa Delta_h - h lambda(t_new)) u =
     u_n + h b u_delay.  Autonomous problems may pass a factorized ``cache``;
-    a time-dependent reaction assembles and factorizes the full system anew
-    each step.
+    a time-dependent reaction assembles the full system anew each step and
+    solves it densely.
     """
     buffer.push(u_n)
     u_delay = buffer.oldest
@@ -218,7 +196,7 @@ def ie_pde_step(u_n: np.ndarray, buffer: FieldRingBuffer, t_new: float,
         raise SingularSystemError(f"singular system at t = {t_new}: {exc}") from exc
 
 
-def lt_pde_step(u_n: np.ndarray, buffer: FieldRingBuffer, t_n: float,
+def lt_pde_step(u_n: np.ndarray, buffer: RingBuffer, t_n: float,
                 problem: PdeProblem, h: float, cache: Tridiag) -> np.ndarray:
     """One splitting step from time ``t_n``.
 
@@ -238,9 +216,10 @@ def lt_pde_step(u_n: np.ndarray, buffer: FieldRingBuffer, t_n: float,
 def _snapshot_steps(times: Sequence[float], h: float, T: float) -> Dict[int, float]:
     """Step index of each requested snapshot time, keyed to the time as given.
 
-    A time outside [0, T], or more than ``SNAP_RTOL`` (relative) away from a
-    multiple of ``h``, raises ``ParameterError`` instead of being dropped or
-    moved to a neighbouring step.
+    A time outside [0, T], more than ``SNAP_RTOL`` (relative) away from a
+    multiple of ``h``, or on the same step as another requested time raises
+    ``ParameterError`` instead of being dropped or moved to a neighbouring
+    step.
     """
     steps: Dict[int, float] = {}
     for t in map(float, times):
@@ -250,6 +229,9 @@ def _snapshot_steps(times: Sequence[float], h: float, T: float) -> Dict[int, flo
         k = round(ratio)
         if abs(ratio - k) > SNAP_RTOL * max(1.0, ratio):
             raise ParameterError(f"snapshot time {t} is not on the step grid h = {h}")
+        if k in steps:
+            raise ParameterError(
+                f"snapshot times {steps[k]!r} and {t!r} fall on the same step {k}")
         steps[k] = t
     return steps
 
@@ -282,10 +264,8 @@ def run_pde(problem: PdeProblem, config: SchemeConfig,
     snap_idx = _snapshot_steps(snapshot_times, h, config.T)
     xg = problem.xgrid
     start = time.perf_counter()
-    samples = init_from_history(
-        lambda t: np.asarray(problem.history(t, xg), dtype=float), grid, grid.m
-    ).contents()
-    buffer = FieldRingBuffer(samples)
+    buffer = init_from_history(
+        lambda t: np.asarray(problem.history(t, xg), dtype=float), grid, grid.m)
     u = np.asarray(problem.history(0.0, xg), dtype=float)
 
     # Center interpolation weights are fixed by the grid layout.
@@ -308,29 +288,20 @@ def run_pde(problem: PdeProblem, config: SchemeConfig,
     if 0 in snap_idx:
         snapshots[snap_idx[0]] = u.copy()
 
-    if config.scheme == "lt":
-        diffusion = assemble_system(problem, h, 0.0, include_reaction=False)
-        diffusion.factorize()
-        for n in range(n_steps):
-            u = lt_pde_step(u, buffer, n * h, problem, h, diffusion)
-            if not np.isfinite(u).all():
-                raise DivergenceError(f"non-finite field at step {n + 1}", step=n + 1)
-            center[n + 1] = center_of(u)
-            l2[n + 1] = sqrt_dx * float(np.linalg.norm(u))
-            if n + 1 in snap_idx:
-                snapshots[snap_idx[n + 1]] = u.copy()
-    else:
-        cache = None
-        if problem.autonomous:
-            cache = assemble_system(problem, h, 0.0, include_reaction=True).factorize()
-        for n in range(n_steps):
-            u = ie_pde_step(u, buffer, (n + 1) * h, problem, h, cache)
-            if not np.isfinite(u).all():
-                raise DivergenceError(f"non-finite field at step {n + 1}", step=n + 1)
-            center[n + 1] = center_of(u)
-            l2[n + 1] = sqrt_dx * float(np.linalg.norm(u))
-            if n + 1 in snap_idx:
-                snapshots[snap_idx[n + 1]] = u.copy()
+    # ie caches the full system when it is autonomous, lt the diffusion part.
+    level = config.level
+    step = ie_pde_step if level else lt_pde_step
+    cache = None
+    if problem.autonomous or not level:
+        cache = assemble_system(problem, h, 0.0, include_reaction=bool(level)).factorize()
+    for n in range(n_steps):
+        u = step(u, buffer, (n + level) * h, problem, h, cache)
+        if not np.isfinite(u).all():
+            raise DivergenceError(f"non-finite field at step {n + 1}", step=n + 1)
+        center[n + 1] = center_of(u)
+        l2[n + 1] = sqrt_dx * float(np.linalg.norm(u))
+        if n + 1 in snap_idx:
+            snapshots[snap_idx[n + 1]] = u.copy()
     wall = time.perf_counter() - start
     times = h * np.arange(n_steps + 1)
     return PdeRunResult(times=times, center=center, l2=l2,

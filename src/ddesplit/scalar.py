@@ -3,10 +3,10 @@
 The model is u'(t) = a(t) u(t) + b u(t + tau) with tau < 0.  Two one-step
 maps are provided in two realizations each:
 
-* grid mode: the delayed value is an exact ring-buffer read.  Implicit Euler
-  advances with the post-shift oldest entry (index n+1-m) and evaluates a(.)
-  at the new time level; Lie-Trotter reads the pre-shift oldest entry
-  (index n-m) and freezes a(.) at the old level.
+* grid mode: the delayed value is an exact ring-buffer read.  Both schemes
+  take one step at the time level ``SchemeConfig.level``: implicit Euler (1)
+  reads the post-shift oldest entry (index n+1-m) and a(.) at the new time,
+  Lie-Trotter (0) the pre-shift oldest entry (index n-m) and a(.) at the old.
 * kernel mode: the history is carried as a sampled segment and advanced by
   the closed-form transport resolvent; the delayed coupling enters through
   an exponentially weighted integral of the previous segment.
@@ -85,6 +85,12 @@ class SchemeConfig:
     def n_steps(self) -> int:
         return int(round(self.T / self.h))
 
+    @property
+    def level(self) -> int:
+        """1 (new) for ie, 0 (old) for lt: the time level of a(.) and, in grid
+        mode, of the delayed read (ie pushes u_n before it, lt after)."""
+        return 1 if self.scheme == "ie" else 0
+
 
 @dataclass
 class StepCoefficients:
@@ -115,12 +121,12 @@ class RunResult:
             raise ParameterError("times and values must have equal length")
 
 
-def lt_step(u_n: float, u_delay: float, a_frozen: float, b: float, h: float) -> float:
-    """Lie-Trotter update (u_n + h b u_delay)/(1 - h a_frozen).
+def ie_step(u_n: float, u_delay: float, a_frozen: float, b: float, h: float) -> float:
+    """Grid-mode update (u_n + h b u_delay)/(1 - h a_frozen) of both schemes.
 
-    ``u_delay`` is the depth-m (index n-m) buffer entry; the delay term is
-    explicit, the reaction implicit with the coefficient frozen at the old
-    time level.
+    Implicit Euler passes the post-shift oldest entry (index n+1-m) and a(.)
+    at the new time level; Lie-Trotter (``lt_step``) passes the pre-shift
+    oldest entry (index n-m) and a(.) at the old level.
     """
     den = 1.0 - h * a_frozen
     if abs(den) <= EPS_DEN:
@@ -128,16 +134,7 @@ def lt_step(u_n: float, u_delay: float, a_frozen: float, b: float, h: float) -> 
     return (u_n + h * b * u_delay) / den
 
 
-def ie_step(u_n: float, u_delay_new: float, a_at_new: float, b: float, h: float) -> float:
-    """Implicit Euler update (u_n + h b u_delay_new)/(1 - h a_at_new).
-
-    ``u_delay_new`` is the post-shift oldest entry (index n+1-m); a(.) is
-    evaluated at the new time level.
-    """
-    den = 1.0 - h * a_at_new
-    if abs(den) <= EPS_DEN:
-        raise SingularStepError(f"1 - h*a = {den} below guard")
-    return (u_n + h * b * u_delay_new) / den
+lt_step = ie_step
 
 
 def ie_step_kernel(u_prev: float, rho_prev: HistorySegment, a_at_new: float,
@@ -186,23 +183,20 @@ def _run_grid(problem: ScalarDelayProblem, config: SchemeConfig) -> np.ndarray:
     h, a, b = config.h, problem.a, problem.b
     linear = problem.a_mode == "linear"
     push, isfinite = buffer.push, math.isfinite
+    level = config.level
+    step = ie_step if level else lt_step
     u = float(problem.history(0.0))
     values = array("d", [u])
-    if config.scheme == "ie":
-        for n in range(1, config.n_steps + 1):
+    for n in range(config.n_steps):
+        if level:
             push(u)
-            u = ie_step(u, delayed_value(buffer, grid), a * (n * h) if linear else a, b, h)
-            if not isfinite(u):
-                raise _diverged(n)
-            values.append(u)
-    else:
-        for n in range(config.n_steps):
-            u_delay = delayed_value(buffer, grid)
+        u_delay = delayed_value(buffer, grid)
+        if not level:
             push(u)
-            u = lt_step(u, u_delay, a * (n * h) if linear else a, b, h)
-            if not isfinite(u):
-                raise _diverged(n + 1)
-            values.append(u)
+        u = step(u, u_delay, a * ((n + level) * h) if linear else a, b, h)
+        if not isfinite(u):
+            raise _diverged(n + 1)
+        values.append(u)
     return np.frombuffer(values)
 
 
@@ -216,8 +210,8 @@ def _run_kernel(problem: ScalarDelayProblem, config: SchemeConfig) -> np.ndarray
     linear = problem.a_mode == "linear"
     u = float(problem.history(0.0))
     values = array("d", [u])
-    # ie freezes a(.) at the new time level, lt at the old one.
-    step, level = (ie_step_kernel, 1) if config.scheme == "ie" else (lt_step_kernel, 0)
+    level = config.level
+    step = ie_step_kernel if level else lt_step_kernel
     for n in range(config.n_steps):
         u, seg = step(u, seg, a * ((n + level) * h) if linear else a, b, grid)
         if not math.isfinite(u):

@@ -114,23 +114,19 @@ def build_discrete_propagators(problem: ScalarDelayProblem,
     a, b = problem.a, problem.b
     coeffs = StepCoefficients.from_params(a, b, h)
 
-    Sigma = np.zeros((d, d))
-    Sigma[0, 0] = 1.0
-    Sigma[np.arange(1, d), np.arange(0, d - 1)] = 1.0
+    # Sigma is the companion matrix with alpha = 1, beta = 0.
+    Sigma = CompanionOperator(m, 1.0, 0.0).dense()
     D = np.zeros((d, d))
     D[0, 0] = a
     D[0, m] = b
     H = h * (D @ Sigma)
 
-    P = np.zeros((d, d))
-    P[0, 0] = coeffs.alpha
-    P[0, m] = coeffs.beta
-    P[np.arange(1, d), np.arange(0, d - 1)] = 1.0
-    R = np.zeros((d, d))
-    R[0, 0] = coeffs.alpha
-    # += : for m = 1 the delay column coincides with the diagonal entry.
+    P = CompanionOperator(m, coeffs.alpha, coeffs.beta).dense()
+    # R reads the delayed value one level later: beta moves from column m to
+    # column m - 1 (+= : for m = 1 that is the diagonal entry).
+    R = P.copy()
+    R[0, m] = 0.0
     R[0, m - 1] += coeffs.beta
-    R[np.arange(1, d), np.arange(0, d - 1)] = 1.0
     E = R - P
 
     # Cross-check both matrices against the scalar one-step maps.

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddesplit.errors import (
     DivergenceError,
@@ -11,7 +13,7 @@ from ddesplit.errors import (
     SingularStepError,
     SingularSystemError,
 )
-from ddesplit.history import DelayGrid, FieldRingBuffer, init_from_history
+from ddesplit.history import DelayGrid, RingBuffer, init_from_history
 from ddesplit.pde import (
     PdeProblem,
     Tridiag,
@@ -173,6 +175,52 @@ class TestThomasSolve:
         assert sys.factored
         assert thomas_solve(sys, np.array([4.0])) == pytest.approx([2.0])
 
+    def test_zero_diagonal_two_by_two_is_solved_with_a_row_swap(self):
+        # [[0, 1], [1, 0]] has det -1; elimination without pivoting stops at
+        # the zero pivot.
+        rhs = np.array([1.0, 2.0])
+        sys = Tridiag([1.0], [0.0, 0.0], [1.0])
+        assert np.array_equal(thomas_solve(sys, rhs), [2.0, 1.0])
+        assert not sys.factored
+        assert np.array_equal(thomas_solve(sys.factorize(), rhs), [2.0, 1.0])
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1),
+           st.sampled_from([None, 0.0, 1e-9, 1e-300]), st.booleans())
+    def test_pivoting_route_matches_the_dense_solver(self, n, seed, small, singular):
+        # Off-diagonals in [-2, 2]; with ``small`` set, a random half of the
+        # diagonal is that value, so elimination needs row swaps.  A zeroed
+        # column j makes the system exactly singular.
+        rng = np.random.default_rng(seed)
+        sub, sup = rng.uniform(-2.0, 2.0, n - 1), rng.uniform(-2.0, 2.0, n - 1)
+        diag = rng.uniform(-2.0, 2.0, n)
+        if small is not None:
+            diag[rng.random(n) < 0.5] = small
+        if singular:
+            j = int(rng.integers(n))
+            diag[j] = 0.0
+            if j > 0:
+                sup[j - 1] = 0.0
+            if j < n - 1:
+                sub[j] = 0.0
+        rhs = rng.standard_normal(n)
+        sys = Tridiag(sub, diag, sup)
+        if singular:
+            with pytest.raises(SingularSystemError):
+                thomas_solve(sys, rhs)
+            with pytest.raises(SingularSystemError):
+                sys.factorize()
+            return
+        dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+        cond = np.linalg.cond(dense)
+        if not cond < 1e10:
+            return
+        x = thomas_solve(sys, rhs)
+        assert not sys.factored
+        assert np.array_equal(thomas_solve(sys.factorize(), rhs), x)
+        ref = np.linalg.solve(dense, rhs)
+        assert np.abs(x - ref).max() <= 1e-13 * cond * np.abs(ref).max()
+
     def test_single_cell_zero_diagonal_rejected(self):
         sys = Tridiag(sub=np.zeros(0), diag=np.array([0.0]), sup=np.zeros(0))
         with pytest.raises(SingularSystemError):
@@ -183,7 +231,7 @@ class TestThomasSolve:
 
 class TestFieldSteps:
     def _buffer(self, nx, m=1):
-        return FieldRingBuffer([np.zeros(nx) for _ in range(m)])
+        return RingBuffer([np.zeros(nx) for _ in range(m)])
 
     def test_zero_field_stays_zero(self):
         prob = PdeProblem(Nx=7, history=zero_history, **BENCH_KW)
@@ -254,7 +302,7 @@ class TestFieldSteps:
         xg = prob.xgrid
         samples = init_from_history(
             lambda t: oscillating_history(t, xg), grid, grid.m).contents()
-        buffer = FieldRingBuffer(samples)
+        buffer = RingBuffer(samples)
         u0 = oscillating_history(0.0, xg)
         stacked = np.array(samples)
         self._hist_range = (stacked.min(), stacked.max())
@@ -308,6 +356,12 @@ class TestRunPde:
             run_pde(prob, SchemeConfig(h=0.1, T=1.0, scheme="lt"),
                     snapshot_times=[0.5, bad])
 
+    def test_two_snapshot_times_on_one_step_rejected(self):
+        prob = PdeProblem(Nx=4, history=ramp_history, **BENCH_KW)
+        with pytest.raises(ParameterError, match=r"0\.3 and 0\.30000000000000004"):
+            run_pde(prob, SchemeConfig(h=0.1, T=1.0, scheme="lt"),
+                    snapshot_times=[0.3, 0.1 + 0.2])
+
     def test_snapshot_within_rounding_of_a_grid_point_accepted(self):
         prob = PdeProblem(Nx=4, history=ramp_history, **BENCH_KW)
         t = 0.1 + 0.2   # 0.30000000000000004
@@ -321,6 +375,27 @@ class TestRunPde:
                           tau=-1.0, Nx=1, history=zero_history)
         with pytest.raises(SingularSystemError):
             run_pde(prob, SchemeConfig(h=0.5, T=1.0, scheme="ie"))
+
+    def test_zero_diagonal_autonomous_ie_run_matches_dense_solves(self):
+        # lambda0 = (1 + 2r)/h zeroes the diagonal of the 2x2 system
+        # [[0, -r], [-r, 0]], which is nonsingular (det -r^2).
+        h, kappa = 0.1, 0.02
+        r = h * kappa / (1.0 / 3.0) ** 2
+        prob = PdeProblem(kappa=kappa, lambda0=(1.0 + 2.0 * r) / h, b=-0.8,
+                          tau=-0.6, Nx=2, history=ramp_history)
+        sys = assemble_system(prob, h, 0.0, include_reaction=True)
+        assert np.array_equal(sys.diag, [0.0, 0.0])
+        res = run_pde(prob, SchemeConfig(h=h, T=1.0, scheme="ie"),
+                      snapshot_times=[1.0])
+        dense = np.diag(sys.diag) + np.diag(sys.sub, -1) + np.diag(sys.sup, 1)
+        grid = DelayGrid(h, prob.tau)
+        xg = prob.xgrid
+        buffer = init_from_history(lambda t: ramp_history(t, xg), grid, grid.m)
+        u = ramp_history(0.0, xg)
+        for _ in range(10):
+            buffer.push(u)
+            u = np.linalg.solve(dense, u + h * prob.b * buffer.oldest)
+        assert res.snapshots[1.0] == pytest.approx(u, rel=1e-12)
 
     def test_fractional_lag_rejected(self):
         prob = PdeProblem(kappa=0.02, lambda0=-0.8, b=-0.8, tau=-0.257,
@@ -341,7 +416,7 @@ class TestRunPde:
                       snapshot_times=[T])
         grid = DelayGrid(h, prob.tau)
         xg = prob.xgrid
-        buffer = FieldRingBuffer(init_from_history(
+        buffer = RingBuffer(init_from_history(
             lambda t: oscillating_history(t, xg), grid, grid.m).contents())
         u = np.asarray(oscillating_history(0.0, xg))
         for n in range(round(T / h)):
@@ -357,11 +432,31 @@ class TestRunPde:
                       snapshot_times=[T])
         grid = DelayGrid(h, prob.tau)
         xg = prob.xgrid
-        buffer = FieldRingBuffer(init_from_history(
+        buffer = RingBuffer(init_from_history(
             lambda t: oscillating_history(t, xg), grid, grid.m).contents())
         u = np.asarray(oscillating_history(0.0, xg))
         for n in range(round(T / h)):
             u = ie_pde_step(u, buffer, (n + 1) * h, prob, h, cache=None)
+        assert np.array_equal(u, res.snapshots[T])
+
+    @pytest.mark.parametrize("scheme, level", [("ie", 1), ("lt", 0)])
+    def test_modulated_run_steps_at_the_scheme_time_level(self, scheme, level):
+        # ie takes lambda at t_{n+1}, lt at t_n; a modulated reaction shows it.
+        prob = PdeProblem(Nx=6, history=oscillating_history, lambda1=0.2,
+                          T_lambda=4.0, **BENCH_KW)
+        h, T = 0.05, 0.5
+        res = run_pde(prob, SchemeConfig(h=h, T=T, scheme=scheme),
+                      snapshot_times=[T])
+        grid = DelayGrid(h, prob.tau)
+        xg = prob.xgrid
+        buffer = init_from_history(lambda t: oscillating_history(t, xg), grid, grid.m)
+        diffusion = assemble_system(prob, h, 0.0, include_reaction=False).factorize()
+        u = np.asarray(oscillating_history(0.0, xg))
+        for n in range(round(T / h)):
+            if scheme == "ie":
+                u = ie_pde_step(u, buffer, (n + level) * h, prob, h)
+            else:
+                u = lt_pde_step(u, buffer, (n + level) * h, prob, h, diffusion)
         assert np.array_equal(u, res.snapshots[T])
 
     def test_schemes_agree_closely_on_a_coarse_benchmark(self):

@@ -101,7 +101,8 @@ class TestOneStepMaps:
                                                                   rel=1e-15)
         assert ie_step(1.0, 2.0, -1.0, 0.5, 0.1) == pytest.approx(1.0, rel=1e-15)
 
-    @pytest.mark.parametrize("step", [lt_step, ie_step])
+    # lt_step is an alias of ie_step, so the ids name the public entry points.
+    @pytest.mark.parametrize("step", [lt_step, ie_step], ids=["lt_step", "ie_step"])
     def test_singular_guard(self, step):
         with pytest.raises(SingularStepError):
             step(1.0, 0.0, 10.0, 0.0, 0.1)
