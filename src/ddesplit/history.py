@@ -13,6 +13,7 @@ lose the very accuracy the formula is for).
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -197,6 +198,14 @@ def _cell_integrals(g: np.ndarray) -> list:
     return (_E1 * g[:-1] + (1.0 - 2.0 * _E1) * g[1:]).tolist()
 
 
+@functools.lru_cache(maxsize=64)
+def _e1_powers(m: int) -> np.ndarray:
+    """Read-only ``e^{-1} ** (m, m-1, ..., 0)``, built once per delay depth."""
+    powers = _E1 ** np.arange(m, -1, -1)
+    powers.flags.writeable = False
+    return powers
+
+
 def _suffix_kernel_sums(g: np.ndarray) -> np.ndarray:
     """Suffix sums J_i = sum_{j>=i} e^{i-j} * w_j of the per-cell quadrature.
 
@@ -237,8 +246,7 @@ def transport_resolvent_apply(f: float, g, h: float) -> HistorySegment:
     if isinstance(g, HistorySegment):
         g = g.values
     g = np.asarray(g, dtype=float)
-    m = g.size - 1
-    rho = _E1 ** np.arange(m, -1, -1) * f + _suffix_kernel_sums(g)
+    rho = _e1_powers(g.size - 1) * f + _suffix_kernel_sums(g)
     return HistorySegment(rho, h)
 
 

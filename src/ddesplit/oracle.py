@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import ParameterError
 
@@ -97,6 +96,10 @@ def oo_solution(t, p: OhiraParams):
     value deterministic for a given parameter set.  Accepts scalar or
     array ``t``.
     """
+    # Imported here: scipy.integrate costs about 0.8 s to load, and only
+    # this quadrature uses it.
+    from scipy.integrate import simpson
+
     grid = np.linspace(0.0, p.omega_max, p.n_nodes)
     tarr = np.atleast_1d(np.asarray(t, dtype=float))
     vals = oo_integrand(grid[None, :], tarr[:, None], p)

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import (
     DivergenceError,
@@ -36,6 +35,11 @@ from .errors import (
 )
 from .history import SNAP_RTOL, DelayGrid, RingBuffer, init_from_history
 from .scalar import EPS_DEN, SchemeConfig
+
+# ``scipy.linalg.lapack``, bound by ``_load_lapack`` at the first
+# factorization: importing scipy.linalg costs about 0.4 s, which runs that
+# never factor a tridiagonal system should not pay.
+lapack = None
 
 
 @dataclass
@@ -114,12 +118,21 @@ class Tridiag:
         return self._factor is not None
 
 
+def _load_lapack() -> None:
+    """Bind the module global ``lapack`` on first use."""
+    global lapack
+    if lapack is None:
+        from scipy.linalg import lapack
+
+
 def _gttrf(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> tuple:
     """LAPACK ``dgttrf`` factors of the tridiagonal matrix, for every n >= 1.
 
     The wrapper rejects n < 3, so a smaller system is padded with an
     uncoupled identity block; its leading factors are unchanged by that.
+    Every factor comes from here, so ``dgttrs`` always finds ``lapack`` bound.
     """
+    _load_lapack()
     pad = 3 - diag.size
     if pad > 0:
         zeros = np.zeros(pad)
@@ -263,6 +276,7 @@ def run_pde(problem: PdeProblem, config: SchemeConfig,
     h = config.h
     snap_idx = _snapshot_steps(snapshot_times, h, config.T)
     xg = problem.xgrid
+    _load_lapack()  # a first-use import must not count as run time
     start = time.perf_counter()
     buffer = init_from_history(
         lambda t: np.asarray(problem.history(t, xg), dtype=float), grid, grid.m)

@@ -299,6 +299,14 @@ class TestKernelFastPathBits:
         rho = transport_resolvent_apply(f, g, h).values
         assert np.array_equal(rho, np.exp(-1.0) ** np.arange(m, -1, -1) * f + J)
 
+    def test_results_for_one_depth_do_not_share_memory(self):
+        # The power vector is kept per depth; writing to one result must
+        # not reach the next call's.
+        first = transport_resolvent_apply(1.0, np.zeros(4), 0.5).values
+        first[:] = 7.0
+        second = transport_resolvent_apply(1.0, np.zeros(4), 0.5).values
+        assert np.array_equal(second, np.exp(-1.0) ** np.arange(3, -1, -1))
+
     def test_non_finite_samples_propagate_as_before(self):
         g = np.array([1.0, np.inf, -np.inf, 2.0, np.nan, 3.0])
         with np.errstate(invalid="ignore"):
