@@ -1,8 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check."""
+
+import math
 
 
 class ParameterError(ValueError):
     """Invalid argument or configuration (bad sign, empty range, mismatch)."""
+
+
+def require_finite(**values: float) -> None:
+    """Raise ``ParameterError`` naming the first non-finite value.
+
+    A NaN passes every ordered comparison and an infinity overflows later
+    arithmetic, so range checks alone would let either through.
+    """
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
 
 
 class InsufficientHistoryError(ParameterError):

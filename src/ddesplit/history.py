@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InsufficientHistoryError, ParameterError
+from .errors import InsufficientHistoryError, ParameterError, require_finite
 
 # Relative tolerance for snapping -tau/h to an integer lag.  Values such as
 # 0.257/0.001 land at 256.99999999999997 in floating point.
@@ -48,6 +48,7 @@ class DelayGrid:
     """
 
     def __init__(self, h: float, tau: float):
+        require_finite(h=h, tau=tau)
         if h <= 0:
             raise ParameterError(f"step size must be positive, got {h}")
         if tau >= 0:

@@ -22,7 +22,12 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import DivergenceError, ParameterError, SingularStepError
+from .errors import (
+    DivergenceError,
+    ParameterError,
+    SingularStepError,
+    require_finite,
+)
 from .history import (
     SNAP_RTOL,
     DelayGrid,
@@ -52,6 +57,7 @@ class ScalarDelayProblem:
     a_mode: str = "constant"
 
     def __post_init__(self):
+        require_finite(a=self.a, b=self.b, tau=self.tau)
         if self.tau >= 0:
             raise ParameterError(f"delay must be negative, got {self.tau}")
         if self.a_mode not in ("constant", "linear"):
@@ -69,6 +75,7 @@ class SchemeConfig:
     delay_mode: str = "grid"
 
     def __post_init__(self):
+        require_finite(h=self.h, T=self.T)
         if self.h <= 0 or self.T <= 0 or self.h > self.T:
             raise ParameterError(f"need 0 < h <= T, got h={self.h}, T={self.T}")
         if self.scheme not in ("ie", "lt"):

@@ -43,6 +43,14 @@ class TestDelayGrid:
         with pytest.raises(ParameterError):
             DelayGrid(h, tau)
 
+    @pytest.mark.parametrize("h,tau,name", [
+        (math.nan, -0.5, "h"), (math.inf, -0.5, "h"),
+        (0.1, math.nan, "tau"), (0.1, -math.inf, "tau"),
+    ])
+    def test_non_finite_parameters_rejected(self, h, tau, name):
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            DelayGrid(h, tau)
+
     def test_delay_shorter_than_step_rejected(self):
         with pytest.raises(ParameterError):
             DelayGrid(h=0.5, tau=-0.3)

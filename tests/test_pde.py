@@ -48,6 +48,15 @@ class TestPdeProblem:
         with pytest.raises(ParameterError):
             PdeProblem(**kw)
 
+    @pytest.mark.parametrize("name", ["kappa", "lambda0", "lambda1", "b", "tau",
+                                      "T_lambda", "L"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, name, value):
+        kw = dict(BENCH_KW, Nx=10, history=zero_history)
+        kw[name] = value
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            PdeProblem(**kw)
+
     def test_zero_diffusion_allowed(self):
         prob = PdeProblem(kappa=0.0, lambda0=-0.8, b=-0.8, tau=-0.6, Nx=10,
                           history=zero_history)
@@ -484,12 +493,103 @@ class TestRunPde:
                 run_pde(prob, SchemeConfig(h=0.3, T=3.0, scheme="ie"))
         assert exc.value.step == 1
 
+    @pytest.mark.parametrize("scheme", ["ie", "lt"])
+    def test_finite_field_with_overflowing_norm_does_not_diverge(self, scheme):
+        # 4 * (1e160)^2 overflows the squared norm; every entry stays finite.
+        prob = PdeProblem(kappa=0.0, lambda0=-0.8, b=0.0, tau=-0.2, Nx=4,
+                          history=lambda t, x: np.full_like(x, 1e160))
+        with np.errstate(over="ignore"):
+            res = run_pde(prob, SchemeConfig(h=0.1, T=1.0, scheme=scheme),
+                          snapshot_times=[1.0])
+        assert np.all(np.isinf(res.l2))
+        assert np.all(np.isfinite(res.center))
+        assert np.all(res.snapshots[1.0] > 1e159)
+
+    @pytest.mark.parametrize("scheme", ["ie", "lt"])
+    @pytest.mark.parametrize("kind, step", [("inf", 9), ("nan", 3)])
+    def test_first_non_finite_step_is_reported(self, scheme, kind, step):
+        if kind == "inf":
+            # 1 - h lambda0 = 0.1: the field grows tenfold per step from
+            # 1e300 and overflows at step 9.
+            prob = PdeProblem(kappa=0.0, lambda0=9.0, b=0.0, tau=-0.5, Nx=3,
+                              history=lambda t, x: np.full_like(x, 1e300))
+        else:
+            # Both schemes read the history sample at t = -0.2 at step 3.
+            prob = PdeProblem(
+                kappa=0.02, lambda0=-0.8, b=-0.8, tau=-0.5, Nx=3,
+                history=lambda t, x: np.full_like(x, math.nan if -0.25 < t < -0.15
+                                                  else 0.3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as exc:
+                run_pde(prob, SchemeConfig(h=0.1, T=2.0, scheme=scheme))
+        assert exc.value.step == step
+
     def test_run_metadata(self):
         prob = PdeProblem(Nx=4, history=zero_history, **BENCH_KW)
         res = run_pde(prob, SchemeConfig(h=0.1, T=0.3, scheme="lt"))
         assert res.scheme == "lt"
         assert res.wall_clock > 0.0
         assert res.times == pytest.approx([0.0, 0.1, 0.2, 0.3])
+
+
+def _reference_trace(problem, h, T, scheme, snapshot_times):
+    """Center, L2 and snapshots from a hand loop of the step functions,
+    recorded with ``np.linalg.norm`` and numpy-scalar interpolation."""
+    grid = DelayGrid(h, problem.tau)
+    xg = problem.xgrid
+    buffer = init_from_history(
+        lambda t: np.asarray(problem.history(t, xg), dtype=float), grid, grid.m)
+    u = np.asarray(problem.history(0.0, xg), dtype=float)
+    pos = problem.L / 2.0 / problem.dx - 1.0
+    i_left = min(int(np.floor(pos)), problem.Nx - 2) if problem.Nx > 1 else 0
+    frac = pos - i_left if problem.Nx > 1 else 0.0
+
+    def center_of(vec):
+        if problem.Nx == 1:
+            return float(vec[0])
+        return float((1.0 - frac) * vec[i_left] + frac * vec[i_left + 1])
+
+    sqrt_dx = math.sqrt(problem.dx)
+    center = [center_of(u)]
+    l2 = [sqrt_dx * float(np.linalg.norm(u))]
+    snapshots = {0.0: u.copy()} if 0.0 in snapshot_times else {}
+    steps = {round(t / h): t for t in snapshot_times}
+    cache = None
+    if scheme == "lt" or problem.autonomous:
+        cache = assemble_system(problem, h, 0.0,
+                                include_reaction=scheme == "ie").factorize()
+    for n in range(round(T / h)):
+        if scheme == "ie":
+            u = ie_pde_step(u, buffer, (n + 1) * h, problem, h, cache)
+        else:
+            u = lt_pde_step(u, buffer, n * h, problem, h, cache)
+        assert np.isfinite(u).all()
+        center.append(center_of(u))
+        l2.append(sqrt_dx * float(np.linalg.norm(u)))
+        if n + 1 in steps:
+            snapshots[steps[n + 1]] = u.copy()
+    return np.array(center), np.array(l2), snapshots
+
+
+class TestTraceRecording:
+    """``run_pde``'s trace, bit for bit against the plain numpy formulas."""
+
+    @pytest.mark.parametrize("scheme", ["ie", "lt"])
+    @pytest.mark.parametrize("lambda1", [0.0, 0.2])
+    @pytest.mark.parametrize("nx", [1, 2, 3, 7, 12])
+    def test_trace_matches_reference_loop(self, scheme, lambda1, nx):
+        # Odd Nx puts L/2 on a node, even Nx between two nodes.
+        prob = PdeProblem(Nx=nx, history=oscillating_history, lambda1=lambda1,
+                          T_lambda=4.0, **BENCH_KW)
+        h, T, snaps = 0.05, 2.0, [0.0, 1.0, 2.0]
+        res = run_pde(prob, SchemeConfig(h=h, T=T, scheme=scheme),
+                      snapshot_times=snaps)
+        center, l2, snapshots = _reference_trace(prob, h, T, scheme, snaps)
+        assert np.array_equal(res.center, center)
+        assert np.array_equal(res.l2, l2)
+        assert set(res.snapshots) == set(snapshots)
+        for t in snaps:
+            assert np.array_equal(res.snapshots[t], snapshots[t])
 
 
 class TestOscillatingHistory:

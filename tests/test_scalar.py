@@ -35,6 +35,14 @@ class TestProblemAndConfig:
             ScalarDelayProblem(a=-1.0, b=0.0, tau=-1.0, history=lambda t: 0.0,
                                a_mode="quadratic")
 
+    @pytest.mark.parametrize("name", ["a", "b", "tau"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_problem_parameters_rejected(self, name, value):
+        kw = dict(a=-1.0, b=-0.5, tau=-1.0, history=lambda t: 0.0)
+        kw[name] = value
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            ScalarDelayProblem(**kw)
+
     def test_linear_mode_evaluates_a_times_t(self):
         prob = ScalarDelayProblem(a=-0.15, b=0.0, tau=-1.0,
                                   history=lambda t: 0.0, a_mode="linear")
@@ -53,6 +61,14 @@ class TestProblemAndConfig:
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ParameterError):
             SchemeConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["h", "T"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_config_rejected(self, name, value):
+        kw = dict(h=0.1, T=1.0)
+        kw[name] = value
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            SchemeConfig(**kw)
 
     def test_step_count_rounds_the_horizon(self):
         assert SchemeConfig(h=0.1, T=1.0).n_steps == 10
