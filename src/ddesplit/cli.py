@@ -49,6 +49,9 @@ from .stability import (
     spectral_radius,
 )
 
+# Bundled benchmark defaults of the scalar model (scalar, stability, timing).
+SCALAR_DEFAULTS = dict(a=-0.15, b=-6.0, tau=-0.257, h=0.001, T=40.0)
+
 # Bundled benchmark defaults of the field model; --mode toggles the modulation.
 PDE_DEFAULTS = dict(kappa=0.02, lambda0=-0.8, b=-0.8, tau=-0.6,
                     h=0.002, Nx=300, T=8.0, L=1.0, T_lambda=4.0)
@@ -64,25 +67,23 @@ class Command:
     fmt: str
 
 
-def _negative(text: str) -> float:
-    value = float(text)
-    if value >= 0:
-        raise argparse.ArgumentTypeError(f"must be negative, got {value}")
-    return value
+def _checked(convert, ok, what: str):
+    """Argparse type: ``convert`` the text, then reject values failing ``ok``."""
+
+    def check(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+
+    check.__name__ = convert.__name__  # argparse: "invalid float value: 'x'"
+    return check
 
 
-def _positive(text: str) -> float:
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+_negative = _checked(float, lambda v: v < 0, "negative")
+_positive = _checked(float, lambda v: v > 0, "positive")
+_positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+_non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
 
 
 def _add_output_flags(p: argparse.ArgumentParser, formats=("csv", "json"),
@@ -110,13 +111,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scalar", help="run the scalar delay equation")
     p.add_argument("--scheme", choices=["ie", "lt"], default="ie")
     p.add_argument("--delay-mode", choices=["grid", "kernel"], default="grid")
-    p.add_argument("--a", type=float, default=-0.15, help="reaction coefficient")
+    p.add_argument("--a", type=float, default=SCALAR_DEFAULTS["a"],
+                   help="reaction coefficient")
     p.add_argument("--a-mode", choices=["constant", "linear"], default="constant",
                    help="constant a or the law a(t) = a*t")
-    p.add_argument("--b", type=float, default=-6.0, help="delay coefficient")
-    p.add_argument("--tau", type=_negative, default=-0.257, help="delay (< 0)")
-    p.add_argument("--h", type=_positive, default=0.001, help="step size")
-    p.add_argument("--T", type=_positive, default=40.0, help="final time")
+    p.add_argument("--b", type=float, default=SCALAR_DEFAULTS["b"],
+                   help="delay coefficient")
+    p.add_argument("--tau", type=_negative, default=SCALAR_DEFAULTS["tau"],
+                   help="delay (< 0)")
+    p.add_argument("--h", type=_positive, default=SCALAR_DEFAULTS["h"], help="step size")
+    p.add_argument("--T", type=_positive, default=SCALAR_DEFAULTS["T"], help="final time")
     _add_history_flags(p)
     _add_output_flags(p)
 
@@ -143,13 +147,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
 
     p = sub.add_parser("stability", help="one-step operator diagnostics")
-    p.add_argument("--a", type=float, default=-0.15)
-    p.add_argument("--b", type=float, default=-6.0)
-    p.add_argument("--tau", type=_negative, default=-0.257)
-    p.add_argument("--h", type=_positive, default=0.001)
-    p.add_argument("--profile-n", type=int, default=0,
+    p.add_argument("--a", type=float, default=SCALAR_DEFAULTS["a"])
+    p.add_argument("--b", type=float, default=SCALAR_DEFAULTS["b"])
+    p.add_argument("--tau", type=_negative, default=SCALAR_DEFAULTS["tau"])
+    p.add_argument("--h", type=_positive, default=SCALAR_DEFAULTS["h"])
+    p.add_argument("--profile-n", type=_non_negative_int, default=0,
                    help="horizon of the summability/Ritt profiles (0 = skip)")
-    p.add_argument("--profile-stride", type=int, default=0,
+    p.add_argument("--profile-stride", type=_non_negative_int, default=0,
                    help="checkpoint spacing (0 = about 200 checkpoints)")
     _add_output_flags(p, formats=("json",), default="json")
 
@@ -397,21 +401,17 @@ def _cmd_growth_fit(cmd: Command) -> int:
 def _cmd_timing(cmd: Command) -> int:
     ns = cmd.params
     if ns.target == "scalar":
-        problem = ScalarDelayProblem(a=-0.15, b=-6.0, tau=-0.257,
-                                     history=poly_history)
-        h = ns.h if ns.h is not None else 0.001
-        T = ns.T if ns.T is not None else 40.0
+        defaults = SCALAR_DEFAULTS
+        problem = ScalarDelayProblem(a=defaults["a"], b=defaults["b"],
+                                     tau=defaults["tau"], history=poly_history)
     else:
-        lambda1 = 0.2 if ns.target == "pde-nonauto" else 0.0
-        problem = PdeProblem(kappa=PDE_DEFAULTS["kappa"],
-                             lambda0=PDE_DEFAULTS["lambda0"],
-                             b=PDE_DEFAULTS["b"], tau=PDE_DEFAULTS["tau"],
-                             Nx=PDE_DEFAULTS["Nx"],
-                             history=oscillating_history, lambda1=lambda1,
-                             T_lambda=PDE_DEFAULTS["T_lambda"],
-                             L=PDE_DEFAULTS["L"])
-        h = ns.h if ns.h is not None else PDE_DEFAULTS["h"]
-        T = ns.T if ns.T is not None else PDE_DEFAULTS["T"]
+        defaults = PDE_DEFAULTS
+        problem = PdeProblem(
+            **{k: v for k, v in defaults.items() if k not in ("h", "T")},
+            history=oscillating_history,
+            lambda1=0.2 if ns.target == "pde-nonauto" else 0.0)
+    h = ns.h if ns.h is not None else defaults["h"]
+    T = ns.T if ns.T is not None else defaults["T"]
     pair = (SchemeConfig(h=h, T=T, scheme="ie"),
             SchemeConfig(h=h, T=T, scheme="lt"))
     report = compare_runtime(problem, pair, repetitions=ns.reps)

@@ -155,38 +155,19 @@ def delayed_value(buffer: RingBuffer, grid: DelayGrid):
     return w * buffer.peek(0) + (1.0 - w) * buffer.peek(1)
 
 
-class HistorySegment:
-    """Grid samples ``g_0..g_m`` of the history on ``sigma in {tau, ..., 0}``.
+def segment_from_history(history: Callable[[float], float],
+                         grid: DelayGrid) -> np.ndarray:
+    """Samples ``g_0..g_m`` of the history on ``sigma in {tau, ..., 0}``.
 
-    The newest sample ``g_m`` doubles as the inflow value ``f`` (the
-    compatibility condition rho(0) = u).
+    The newest sample ``g_m = history(0.0)`` doubles as the inflow value
+    ``f`` (the compatibility condition rho(0) = u).
     """
-
-    def __init__(self, values, h: float):
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 1 or values.size < 2:
-            raise ParameterError("segment needs a 1-D array of at least 2 samples")
-        if h <= 0:
-            raise ParameterError(f"step size must be positive, got {h}")
-        self.values = values
-        self.h = float(h)
-
-    @property
-    def m(self) -> int:
-        return self.values.size - 1
-
-    @property
-    def inflow(self) -> float:
-        return float(self.values[-1])
-
-    @classmethod
-    def from_history(cls, history: Callable[[float], float],
-                     grid: DelayGrid) -> "HistorySegment":
-        if not grid.is_integer_lag:
-            raise ParameterError("segment sampling requires an integer lag")
-        sigma = grid.tau + grid.h * np.arange(grid.m + 1)
-        sigma[-1] = 0.0
-        return cls([history(s) for s in sigma], grid.h)
+    if not grid.is_integer_lag:
+        raise ParameterError("the kernel segment needs the delay to be an integer "
+                             "multiple of the step")
+    sigma = grid.tau + grid.h * np.arange(grid.m + 1)
+    sigma[-1] = 0.0
+    return np.array([history(s) for s in sigma], dtype=float)
 
 
 def _cell_integrals(g: np.ndarray) -> list:
@@ -223,43 +204,31 @@ def _suffix_kernel_sums(g: np.ndarray) -> np.ndarray:
     return np.array(J, dtype=float)
 
 
-def transport_resolvent_apply(f: float, g, h: float) -> HistorySegment:
+def transport_resolvent_apply(f: float, g) -> np.ndarray:
     """One application of the transport resolvent to inflow ``f`` and history ``g``.
 
     Parameters
     ----------
     f : float
         Inflow (the new present value).
-    g : array_like or HistorySegment
-        Previous history samples on the uniform sigma grid.
-    h : float
-        Step size, > 0.
+    g : array_like
+        Previous history samples on the uniform sigma grid, at least 2.
 
     Returns
     -------
-    HistorySegment
+    np.ndarray
         Samples of rho(sigma) = e^{sigma/h} f + (1/h) int_sigma^0
         e^{(sigma-s)/h} g(s) ds, exact for the piecewise-linear interpolant
-        of ``g``; rho(0) = f holds exactly.
+        of ``g``; rho(0) = f holds exactly and rho(tau) is the first entry.
     """
-    if h <= 0:
-        raise ParameterError(f"step size must be positive, got {h}")
-    if isinstance(g, HistorySegment):
-        g = g.values
     g = np.asarray(g, dtype=float)
-    rho = _e1_powers(g.size - 1) * f + _suffix_kernel_sums(g)
-    return HistorySegment(rho, h)
-
-
-def trace_at_tau(rho: HistorySegment) -> float:
-    """Evaluate the segment at sigma = tau (its oldest grid point)."""
-    return float(rho.values[0])
+    if g.ndim != 1 or g.size < 2:
+        raise ParameterError("segment needs a 1-D array of at least 2 samples")
+    return _e1_powers(g.size - 1) * f + _suffix_kernel_sums(g)
 
 
 def delay_kernel_integral(g, h: float) -> float:
     """Closed-form value of int_tau^0 e^{(tau-s)/h} g(s) ds for sampled ``g``."""
-    if isinstance(g, HistorySegment):
-        g = g.values
     g = np.asarray(g, dtype=float)
     if g.size == 0:
         raise ParameterError("kernel integral needs at least one sample")
@@ -273,8 +242,6 @@ def delay_kernel_integral(g, h: float) -> float:
 
 def l2_norm_trapezoid(g, h: float) -> float:
     """Trapezoidal L2 norm of the sampled segment on [tau, 0]."""
-    if isinstance(g, HistorySegment):
-        g = g.values
     g = np.asarray(g, dtype=float)
     sq = g * g
     return float(np.sqrt(h * (sq.sum() - 0.5 * (sq[0] + sq[-1]))))

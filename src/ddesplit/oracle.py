@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_finite
 
 #: Degree-10 fit of the benchmark solution on [-8, 0], ascending powers.
 POLY10_COEFFS = (
@@ -56,6 +56,7 @@ class OhiraParams:
     n_nodes: int = 2001
 
     def __post_init__(self):
+        require_finite(a=self.a, b=self.b, tau=self.tau, omega_max=self.omega_max)
         if self.a >= 0:
             raise ParameterError(f"need a < 0 for integrand decay, got {self.a}")
         if self.tau >= 0:

@@ -302,11 +302,7 @@ def run_pde(problem: PdeProblem, config: SchemeConfig,
     n_steps = config.n_steps
     center = np.empty(n_steps + 1)
     l2 = np.empty(n_steps + 1)
-    center[0] = center_of(u)
-    l2[0] = sqrt_dx * math.sqrt(float(u.dot(u)))
     snapshots: Dict[float, np.ndarray] = {}
-    if 0 in snap_idx:
-        snapshots[snap_idx[0]] = u.copy()
 
     # ie caches the full system when it is autonomous, lt the diffusion part.
     level = config.level
@@ -314,16 +310,18 @@ def run_pde(problem: PdeProblem, config: SchemeConfig,
     cache = None
     if problem.autonomous or not level:
         cache = assemble_system(problem, h, 0.0, include_reaction=bool(level)).factorize()
-    for n in range(n_steps):
-        u = step(u, buffer, (n + level) * h, problem, h, cache)
+    # Pass 0 records the initial field under the same finiteness rule.
+    for n in range(n_steps + 1):
+        if n:
+            u = step(u, buffer, (n - 1 + level) * h, problem, h, cache)
         sq = float(u.dot(u))
         # An overflowing sum of finite squares is not a divergence.
         if not math.isfinite(sq) and not np.isfinite(u).all():
-            raise DivergenceError(f"non-finite field at step {n + 1}", step=n + 1)
-        center[n + 1] = center_of(u)
-        l2[n + 1] = sqrt_dx * math.sqrt(sq)
-        if n + 1 in snap_idx:
-            snapshots[snap_idx[n + 1]] = u.copy()
+            raise DivergenceError(f"non-finite field at step {n}", step=n)
+        center[n] = center_of(u)
+        l2[n] = sqrt_dx * math.sqrt(sq)
+        if n in snap_idx:
+            snapshots[snap_idx[n]] = u.copy()
     wall = time.perf_counter() - start
     times = h * np.arange(n_steps + 1)
     return PdeRunResult(times=times, center=center, l2=l2,

@@ -31,10 +31,10 @@ from .errors import (
 from .history import (
     SNAP_RTOL,
     DelayGrid,
-    HistorySegment,
     delay_kernel_integral,
     delayed_value,
     init_from_history,
+    segment_from_history,
     transport_resolvent_apply,
 )
 
@@ -144,8 +144,8 @@ def ie_step(u_n: float, u_delay: float, a_frozen: float, b: float, h: float) -> 
 lt_step = ie_step
 
 
-def ie_step_kernel(u_prev: float, rho_prev: HistorySegment, a_at_new: float,
-                   b: float, grid: DelayGrid) -> Tuple[float, HistorySegment]:
+def ie_step_kernel(u_prev: float, rho_prev: np.ndarray, a_at_new: float,
+                   b: float, grid: DelayGrid) -> Tuple[float, np.ndarray]:
     """Implicit Euler step with the delayed trace resolved through the kernel.
 
     The new value solves (1 - h a - h b e^{tau/h}) u = u_prev + b * I with
@@ -158,11 +158,11 @@ def ie_step_kernel(u_prev: float, rho_prev: HistorySegment, a_at_new: float,
         raise SingularStepError(f"kernel step denominator {den} below guard")
     integral = delay_kernel_integral(rho_prev, h)
     u_new = (u_prev + b * integral) / den
-    return u_new, transport_resolvent_apply(u_new, rho_prev, h)
+    return u_new, transport_resolvent_apply(u_new, rho_prev)
 
 
-def lt_step_kernel(u_prev: float, rho_prev: HistorySegment, a_frozen: float,
-                   b: float, grid: DelayGrid) -> Tuple[float, HistorySegment]:
+def lt_step_kernel(u_prev: float, rho_prev: np.ndarray, a_frozen: float,
+                   b: float, grid: DelayGrid) -> Tuple[float, np.ndarray]:
     """Sequential splitting step: transport/delay solve first, reaction second.
 
     The intermediate w = (u_prev + b*I)/(1 - h b e^{tau/h}) feeds the segment
@@ -176,7 +176,7 @@ def lt_step_kernel(u_prev: float, rho_prev: HistorySegment, a_frozen: float,
     integral = delay_kernel_integral(rho_prev, h)
     w = (u_prev + b * integral) / den_delay
     u_new = w / den_react
-    return u_new, transport_resolvent_apply(w, rho_prev, h)
+    return u_new, transport_resolvent_apply(w, rho_prev)
 
 
 def _diverged(step: int) -> DivergenceError:
@@ -193,6 +193,8 @@ def _run_grid(problem: ScalarDelayProblem, config: SchemeConfig) -> np.ndarray:
     level = config.level
     step = ie_step if level else lt_step
     u = float(problem.history(0.0))
+    if not math.isfinite(u):
+        raise _diverged(0)
     values = array("d", [u])
     for n in range(config.n_steps):
         if level:
@@ -209,13 +211,12 @@ def _run_grid(problem: ScalarDelayProblem, config: SchemeConfig) -> np.ndarray:
 
 def _run_kernel(problem: ScalarDelayProblem, config: SchemeConfig) -> np.ndarray:
     grid = DelayGrid(config.h, problem.tau)
-    if not grid.is_integer_lag:
-        raise ParameterError("kernel mode requires the delay to be an integer "
-                             "multiple of the step")
-    seg = HistorySegment.from_history(problem.history, grid)
+    seg = segment_from_history(problem.history, grid)
     h, a, b = config.h, problem.a, problem.b
     linear = problem.a_mode == "linear"
     u = float(problem.history(0.0))
+    if not math.isfinite(u):
+        raise _diverged(0)
     values = array("d", [u])
     level = config.level
     step = ie_step_kernel if level else lt_step_kernel

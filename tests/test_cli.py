@@ -51,6 +51,8 @@ class TestParsing:
         ["pde", "--preset", "unknown"],
         ["oracle", "--n-nodes", "-5"],
         ["stability", "--format", "csv"],
+        ["stability", "--profile-n", "-5"],
+        ["stability", "--profile-stride", "-7"],
     ])
     def test_usage_errors_exit_with_code_two(self, argv):
         with pytest.raises(SystemExit) as exc:

@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 from ddesplit.errors import InsufficientHistoryError, ParameterError
 from ddesplit.history import (
     DelayGrid,
-    HistorySegment,
     RingBuffer,
     _suffix_kernel_sums,
     delay_kernel_integral,
     delayed_value,
     init_from_history,
     l2_norm_trapezoid,
-    trace_at_tau,
+    segment_from_history,
     transport_resolvent_apply,
 )
 from ddesplit.oracle import poly_history
@@ -174,91 +173,86 @@ class TestDelayedValue:
             delayed_value(RingBuffer([1.0, 2.0]), grid)
 
 
-class TestHistorySegment:
+class TestSegmentFromHistory:
     def test_newest_sample_is_the_inflow(self):
-        seg = HistorySegment([1.0, 2.0, 3.0], h=0.5)
-        assert seg.m == 2
-        assert seg.inflow == 3.0
+        # 0.1 * arange(4) - 0.3 ends at 5.6e-17, so the last point is set to 0.
+        grid = DelayGrid(h=0.1, tau=-0.3)
+        seg = segment_from_history(lambda t: 1.0 if t == 0.0 else 2.0, grid)
+        assert seg.tolist() == [2.0, 2.0, 2.0, 1.0]
 
-    def test_from_history_samples_the_sigma_grid(self):
+    def test_samples_the_sigma_grid(self):
         grid = DelayGrid(h=0.5, tau=-2.0)
-        seg = HistorySegment.from_history(lambda t: 2.0 * t, grid)
-        assert seg.values == pytest.approx([-4.0, -3.0, -2.0, -1.0, 0.0])
-        assert seg.inflow == 0.0
+        seg = segment_from_history(lambda t: 2.0 * t, grid)
+        assert seg == pytest.approx([-4.0, -3.0, -2.0, -1.0, 0.0])
+        assert seg.dtype == float and seg.ndim == 1
 
-    def test_from_history_rejects_fractional_lag(self):
+    def test_rejects_fractional_lag(self):
         with pytest.raises(ParameterError):
-            HistorySegment.from_history(lambda t: t, DelayGrid(0.2, -0.5))
-
-    @pytest.mark.parametrize("values,h", [([1.0], 0.5), ([[1.0, 2.0]], 0.5),
-                                          ([1.0, 2.0], 0.0)])
-    def test_invalid_construction_rejected(self, values, h):
-        with pytest.raises(ParameterError):
-            HistorySegment(values, h)
+            segment_from_history(lambda t: t, DelayGrid(0.2, -0.5))
 
 
 class TestTransportResolvent:
     def test_homogeneous_case_is_the_exponential(self):
         # g = 0, f = 1: rho(sigma) = e^{sigma/h} on the grid.
         m, h = 5, 0.3
-        rho = transport_resolvent_apply(1.0, np.zeros(m + 1), h)
-        assert rho.values == pytest.approx(np.exp(np.arange(-m, 1)), rel=1e-14)
+        rho = transport_resolvent_apply(1.0, np.zeros(m + 1))
+        assert rho == pytest.approx(np.exp(np.arange(-m, 1)), rel=1e-14)
 
     @pytest.mark.parametrize("c,m", [(1.0, 1), (2.5, 4), (-0.7, 9)])
     def test_constant_history_closed_form(self, c, m):
-        h = 0.25
-        rho = transport_resolvent_apply(0.0, np.full(m + 1, c), h)
+        rho = transport_resolvent_apply(0.0, np.full(m + 1, c))
         sigma_over_h = np.arange(-m, 1, dtype=float)
-        assert rho.values == pytest.approx(c * (1.0 - np.exp(sigma_over_h)),
+        assert rho == pytest.approx(c * (1.0 - np.exp(sigma_over_h)),
                                            rel=1e-13, abs=1e-15)
 
     def test_trace_of_constant_history(self):
-        rho = transport_resolvent_apply(0.0, np.full(4, 2.0), 0.5)
-        assert trace_at_tau(rho) == pytest.approx(2.0 * (1.0 - math.exp(-3.0)),
-                                                  rel=1e-13)
+        rho = transport_resolvent_apply(0.0, np.full(4, 2.0))
+        assert rho[0] == pytest.approx(2.0 * (1.0 - math.exp(-3.0)), rel=1e-13)
 
     def test_present_value_is_always_the_inflow(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             f = float(rng.standard_normal())
             g = rng.standard_normal(int(rng.integers(2, 30)))
-            rho = transport_resolvent_apply(f, g, float(rng.uniform(0.05, 2.0)))
-            assert rho.inflow == f
+            rho = transport_resolvent_apply(f, g)
+            assert rho[-1] == f
 
     def test_maximum_principle_on_random_inputs(self):
         rng = np.random.default_rng(8)
         for _ in range(300):
             f = float(3.0 * rng.standard_normal())
             g = 3.0 * rng.standard_normal(int(rng.integers(2, 40)))
-            rho = transport_resolvent_apply(f, g, float(rng.uniform(0.01, 1.5)))
+            rho = transport_resolvent_apply(f, g)
             bound = max(abs(f), float(np.abs(g).max()))
-            assert np.abs(rho.values).max() <= bound + 1e-12
+            assert np.abs(rho).max() <= bound + 1e-12
 
     def test_accepts_segment_input(self):
-        seg = HistorySegment([1.0, 1.0, 1.0], h=0.5)
-        rho = transport_resolvent_apply(0.0, seg, 0.5)
-        assert rho.values[-1] == 0.0
+        seg = segment_from_history(lambda t: 1.0, DelayGrid(h=0.5, tau=-1.0))
+        rho = transport_resolvent_apply(0.0, seg)
+        assert rho[-1] == 0.0
+        assert np.array_equal(rho, transport_resolvent_apply(0.0, [1.0, 1.0, 1.0]))
 
-    def test_nonpositive_step_rejected(self):
+    @pytest.mark.parametrize("g", [[1.0], [[1.0, 2.0]]], ids=["one-sample", "2-D"])
+    def test_malformed_history_rejected(self, g):
         with pytest.raises(ParameterError):
-            transport_resolvent_apply(1.0, np.zeros(3), 0.0)
+            transport_resolvent_apply(1.0, g)
 
 
 class TestTraceAtTau:
     def test_pure_inflow_trace_is_exponentially_small(self):
         m = 6
-        rho = transport_resolvent_apply(1.0, np.zeros(m + 1), 0.1)
-        assert trace_at_tau(rho) == pytest.approx(math.exp(-m), rel=1e-13)
+        rho = transport_resolvent_apply(1.0, np.zeros(m + 1))
+        assert rho[0] == pytest.approx(math.exp(-m), rel=1e-13)
 
     def test_constant_segment_traces_to_its_value(self):
-        assert trace_at_tau(HistorySegment([3.3, 3.3, 3.3], 0.1)) == 3.3
+        seg = segment_from_history(lambda t: 3.3, DelayGrid(h=0.1, tau=-0.2))
+        assert seg[0] == 3.3
 
     def test_unit_history_single_cell(self):
         # f = 0, g = 1, h = 1, tau = -1: rho(tau) = 1 - e^{-1}.
-        rho = transport_resolvent_apply(0.0, np.ones(2), 1.0)
-        assert trace_at_tau(rho) == pytest.approx(1.0 - math.exp(-1.0),
-                                                  rel=1e-14)
-        assert trace_at_tau(rho) == pytest.approx(0.632121, abs=5e-7)
+        rho = transport_resolvent_apply(0.0, np.ones(2))
+        assert rho[0] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14)
+        assert rho[0] == pytest.approx(0.632121, abs=5e-7)
 
 
 class TestKernelIntegral:
@@ -304,15 +298,15 @@ class TestKernelFastPathBits:
         integral = delay_kernel_integral(g, h)
         assert type(integral) is float
         assert integral == float(h * J[0])
-        rho = transport_resolvent_apply(f, g, h).values
+        rho = transport_resolvent_apply(f, g)
         assert np.array_equal(rho, np.exp(-1.0) ** np.arange(m, -1, -1) * f + J)
 
     def test_results_for_one_depth_do_not_share_memory(self):
         # The power vector is kept per depth; writing to one result must
         # not reach the next call's.
-        first = transport_resolvent_apply(1.0, np.zeros(4), 0.5).values
+        first = transport_resolvent_apply(1.0, np.zeros(4))
         first[:] = 7.0
-        second = transport_resolvent_apply(1.0, np.zeros(4), 0.5).values
+        second = transport_resolvent_apply(1.0, np.zeros(4))
         assert np.array_equal(second, np.exp(-1.0) ** np.arange(3, -1, -1))
 
     def test_non_finite_samples_propagate_as_before(self):
@@ -341,6 +335,6 @@ def test_trace_bound_on_random_triples():
         h = float(rng.uniform(0.005, 2.0))
         f = float(5.0 * rng.standard_normal())
         g = 5.0 * rng.standard_normal(int(rng.integers(2, 50)))
-        rho = transport_resolvent_apply(f, g, h)
+        rho = transport_resolvent_apply(f, g)
         bound = abs(f) + l2_norm_trapezoid(g, h) / math.sqrt(2.0 * h)
-        assert abs(trace_at_tau(rho)) <= bound + 1e-12
+        assert abs(rho[0]) <= bound + 1e-12

@@ -34,6 +34,14 @@ class TestOhiraParams:
         with pytest.raises(ParameterError):
             OhiraParams(**kw)
 
+    @pytest.mark.parametrize("name", ["a", "b", "tau", "omega_max"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, name, value):
+        kw = dict(a=-0.15, b=-6.0, tau=-8.0)
+        kw[name] = value
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            OhiraParams(**kw)
+
     def test_exponent_bound_of_the_benchmark(self):
         assert BENCH.exponent_bound == pytest.approx(-48.333, abs=1e-3)
 

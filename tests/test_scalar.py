@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 from ddesplit.errors import DivergenceError, ParameterError, SingularStepError
-from ddesplit.history import DelayGrid, HistorySegment, delayed_value, init_from_history
+from ddesplit.history import (
+    DelayGrid,
+    delayed_value,
+    init_from_history,
+    segment_from_history,
+)
 from ddesplit.oracle import poly_history
+from ddesplit.pde import PdeProblem, run_pde
 from ddesplit.scalar import (
     RunResult,
     ScalarDelayProblem,
@@ -127,23 +133,23 @@ class TestOneStepMaps:
 class TestKernelSteps:
     def test_ie_kernel_without_delay_is_plain_implicit_euler(self):
         grid = DelayGrid(h=0.1, tau=-0.5)
-        zeros = HistorySegment(np.zeros(grid.m + 1), grid.h)
+        zeros = np.zeros(grid.m + 1)
         u, seg = ie_step_kernel(1.0, zeros, -1.0, 0.0, grid)
         assert u == pytest.approx(1.0 / 1.1, rel=1e-14)
         # Pure transport of the new value into the segment.
-        assert seg.values == pytest.approx(u * np.exp(np.arange(-grid.m, 1)),
-                                           rel=1e-13, abs=1e-300)
+        assert seg == pytest.approx(u * np.exp(np.arange(-grid.m, 1)),
+                                    rel=1e-13, abs=1e-300)
 
     def test_ie_kernel_unit_cell_arithmetic(self):
         grid = DelayGrid(h=1.0, tau=-1.0)
-        zeros = HistorySegment(np.zeros(2), 1.0)
+        zeros = np.zeros(2)
         u, _ = ie_step_kernel(1.0, zeros, 0.0, 1.0, grid)
         assert u == pytest.approx(1.0 / (1.0 - math.exp(-1.0)), rel=1e-14)
         assert u == pytest.approx(1.581977, abs=5e-7)
 
     def test_ie_kernel_constant_segment_integral(self):
         grid = DelayGrid(h=1.0, tau=-1.0)
-        ones = HistorySegment(np.ones(2), 1.0)
+        ones = np.ones(2)
         u, _ = ie_step_kernel(0.5, ones, 0.0, 1.0, grid)
         integral = 1.0 - math.exp(-1.0)
         assert u == pytest.approx((0.5 + integral) / (1.0 - math.exp(-1.0)),
@@ -151,26 +157,26 @@ class TestKernelSteps:
 
     def test_lt_kernel_without_delay(self):
         grid = DelayGrid(h=0.1, tau=-0.5)
-        zeros = HistorySegment(np.zeros(grid.m + 1), grid.h)
+        zeros = np.zeros(grid.m + 1)
         u, _ = lt_step_kernel(2.0, zeros, -1.0, 0.0, grid)
         assert u == pytest.approx(2.0 / 1.1, rel=1e-14)
 
     def test_lt_kernel_without_reaction_returns_the_intermediate(self):
         grid = DelayGrid(h=1.0, tau=-1.0)
-        zeros = HistorySegment(np.zeros(2), 1.0)
+        zeros = np.zeros(2)
         u, _ = lt_step_kernel(1.0, zeros, 0.0, 1.0, grid)
         assert u == pytest.approx(1.0 / (1.0 - math.exp(-1.0)), rel=1e-14)
 
     def test_lt_kernel_reaction_divides_the_intermediate(self):
         grid = DelayGrid(h=1.0, tau=-1.0)
-        zeros = HistorySegment(np.zeros(2), 1.0)
+        zeros = np.zeros(2)
         w_expected = 1.0 / (1.0 - math.exp(-1.0))
         u, _ = lt_step_kernel(1.0, zeros, -2.0, 1.0, grid)
         assert u == pytest.approx(w_expected / 3.0, rel=1e-14)
 
     def test_kernel_singular_guard(self):
         grid = DelayGrid(h=0.1, tau=-0.5)
-        zeros = HistorySegment(np.zeros(grid.m + 1), grid.h)
+        zeros = np.zeros(grid.m + 1)
         with pytest.raises(SingularStepError):
             ie_step_kernel(1.0, zeros, 10.0, 0.0, grid)
         with pytest.raises(SingularStepError):
@@ -293,7 +299,7 @@ class TestRunLoopsBits:
         h, T = 0.05, 20.0
         res = run(prob, SchemeConfig(h=h, T=T, scheme=scheme, delay_mode="kernel"))
         grid = DelayGrid(h, prob.tau)
-        seg = HistorySegment.from_history(prob.history, grid)
+        seg = segment_from_history(prob.history, grid)
         step = ie_step_kernel if scheme == "ie" else lt_step_kernel
         u = prob.history(0.0)
         expected = [u]
@@ -314,6 +320,24 @@ class TestRunLoopsBits:
         with pytest.raises(DivergenceError, match=f"step {step}$") as exc:
             run(prob, SchemeConfig(h=1e-2, T=400.0, scheme=scheme, delay_mode=mode))
         assert exc.value.step == step
+
+
+@pytest.mark.parametrize("loop", ["grid", "kernel", "field"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_initial_value_is_step_zero(loop, bad):
+    # The history is finite everywhere except at t = 0.
+    config = SchemeConfig(h=0.1, T=1.0, scheme="lt",
+                          delay_mode="kernel" if loop == "kernel" else "grid")
+    with pytest.raises(DivergenceError, match="step 0$") as exc:
+        if loop == "field":
+            run_pde(PdeProblem(kappa=0.02, lambda0=-0.8, b=-0.8, tau=-0.5, Nx=4,
+                               history=lambda t, x: np.full_like(
+                                   x, bad if t == 0.0 else 0.3)), config)
+        else:
+            run(ScalarDelayProblem(a=-0.5, b=-1.0, tau=-0.5,
+                                   history=lambda t: bad if t == 0.0 else 0.3),
+                config)
+    assert exc.value.step == 0
 
 
 class TestRunKernel:
