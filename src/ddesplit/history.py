@@ -13,6 +13,7 @@ lose the very accuracy the formula is for).
 
 from __future__ import annotations
 
+import collections
 import functools
 from typing import Callable, Sequence
 
@@ -76,43 +77,41 @@ class DelayGrid:
         return f"DelayGrid(h={self.h}, tau={self.tau}, m={self.m}, delta={self.delta})"
 
 
-class RingBuffer:
+class RingBuffer(collections.deque):
     """Fixed-capacity FIFO over arbitrary state values (scalars or arrays).
 
-    Push and oldest-read are O(1); the slot array never reallocates.
+    A ``deque`` bounded at its initial length: ``push`` appends the newest
+    entry and drops the oldest in one C call, and ``self[0]`` is the oldest.
     """
 
     def __init__(self, values: Sequence):
         values = list(values)
         if not values:
             raise ParameterError("ring buffer needs at least one initial value")
-        self._slots = values
-        self._head = 0  # index of the oldest entry
-        self.capacity = len(values)
+        super().__init__(values, len(values))
 
-    def push(self, value) -> None:
-        """Discard the oldest entry and append ``value`` as the newest."""
-        self._slots[self._head] = value
-        self._head = (self._head + 1) % self.capacity
+    # Discard the oldest entry and append the argument as the newest.
+    push = collections.deque.append
+
+    @property
+    def capacity(self) -> int:
+        return self.maxlen
 
     def peek(self, age_from_oldest: int = 0):
         """Return the entry ``age_from_oldest`` positions newer than the oldest."""
-        if not 0 <= age_from_oldest < self.capacity:
+        if not 0 <= age_from_oldest < self.maxlen:
             raise ParameterError(
-                f"peek index {age_from_oldest} outside capacity {self.capacity}"
+                f"peek index {age_from_oldest} outside capacity {self.maxlen}"
             )
-        return self._slots[(self._head + age_from_oldest) % self.capacity]
+        return self[age_from_oldest]
 
     @property
     def oldest(self):
-        return self._slots[self._head]
+        return self[0]
 
     def contents(self) -> list:
         """Snapshot of the contents, oldest first."""
-        return [self.peek(i) for i in range(self.capacity)]
-
-    def __len__(self):
-        return self.capacity
+        return list(self)
 
 
 def init_from_history(history: Callable[[float], object], grid: DelayGrid,
@@ -145,14 +144,14 @@ def delayed_value(buffer: RingBuffer, grid: DelayGrid):
     """
     if grid.delta == 0.0:
         # ``buffer.oldest`` without the property call; this runs once per step.
-        return buffer._slots[buffer._head]
+        return buffer[0]
     if buffer.capacity < grid.m + 1:
         raise InsufficientHistoryError(
             f"fractional delay needs capacity >= {grid.m + 1}, "
             f"buffer has {buffer.capacity}"
         )
     w = grid.delta / grid.h
-    return w * buffer.peek(0) + (1.0 - w) * buffer.peek(1)
+    return w * buffer[0] + (1.0 - w) * buffer[1]
 
 
 def segment_from_history(history: Callable[[float], float],
@@ -204,6 +203,14 @@ def _suffix_kernel_sums(g: np.ndarray) -> np.ndarray:
     return np.array(J, dtype=float)
 
 
+def _as_segment(g) -> np.ndarray:
+    """``g`` as a float array, checked to be 1-D with at least 2 samples."""
+    g = np.asarray(g, dtype=float)
+    if g.ndim != 1 or g.size < 2:
+        raise ParameterError("segment needs a 1-D array of at least 2 samples")
+    return g
+
+
 def transport_resolvent_apply(f: float, g) -> np.ndarray:
     """One application of the transport resolvent to inflow ``f`` and history ``g``.
 
@@ -221,17 +228,13 @@ def transport_resolvent_apply(f: float, g) -> np.ndarray:
         e^{(sigma-s)/h} g(s) ds, exact for the piecewise-linear interpolant
         of ``g``; rho(0) = f holds exactly and rho(tau) is the first entry.
     """
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 1 or g.size < 2:
-        raise ParameterError("segment needs a 1-D array of at least 2 samples")
+    g = _as_segment(g)
     return _e1_powers(g.size - 1) * f + _suffix_kernel_sums(g)
 
 
 def delay_kernel_integral(g, h: float) -> float:
     """Closed-form value of int_tau^0 e^{(tau-s)/h} g(s) ds for sampled ``g``."""
-    g = np.asarray(g, dtype=float)
-    if g.size == 0:
-        raise ParameterError("kernel integral needs at least one sample")
+    g = _as_segment(g)
     # Only J_0 is needed: one pass of the recurrence, no array.
     e1 = _E1
     acc = 0.0

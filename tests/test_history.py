@@ -109,6 +109,31 @@ class TestRingBuffer:
                 assert delayed_value(buf, grid) == seq[i - cap]
                 buf.push(seq[i])
 
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 12), st.data())
+    def test_matches_a_list_fifo_after_every_push(self, cap, data):
+        values = st.floats(-1e6, 1e6)
+        fifo = data.draw(st.lists(values, min_size=cap, max_size=cap))
+        pushes = data.draw(st.lists(values, max_size=40))
+        buf = RingBuffer(fifo)
+        on_grid = DelayGrid(h=1.0, tau=-float(cap))
+        # m = cap - 1 and delta = h/4: the read brackets the two oldest entries.
+        off_grid = DelayGrid(h=1.0, tau=-(cap - 0.75)) if cap >= 2 else None
+        for value in pushes:
+            buf.push(value)
+            fifo = fifo[1:] + [value]
+            assert buf.contents() == fifo
+            assert buf.oldest == fifo[0]
+            assert [buf.peek(k) for k in range(cap)] == fifo
+            assert len(buf) == cap
+            assert delayed_value(buf, on_grid) == fifo[0]
+            if off_grid is not None:
+                w = off_grid.delta / off_grid.h
+                assert delayed_value(buf, off_grid) == w * fifo[0] + (1.0 - w) * fifo[1]
+            for k in (-1, cap):
+                with pytest.raises(ParameterError):
+                    buf.peek(k)
+
 
 class TestInitFromHistory:
     def test_constant_history_fills_all_slots(self):
@@ -232,7 +257,8 @@ class TestTransportResolvent:
         assert rho[-1] == 0.0
         assert np.array_equal(rho, transport_resolvent_apply(0.0, [1.0, 1.0, 1.0]))
 
-    @pytest.mark.parametrize("g", [[1.0], [[1.0, 2.0]]], ids=["one-sample", "2-D"])
+    @pytest.mark.parametrize("g", [[1.0], [[1.0, 2.0]], []],
+                             ids=["one-sample", "2-D", "empty"])
     def test_malformed_history_rejected(self, g):
         with pytest.raises(ParameterError):
             transport_resolvent_apply(1.0, g)
@@ -270,6 +296,13 @@ class TestKernelIntegral:
     def test_empty_samples_rejected(self):
         with pytest.raises(ParameterError):
             delay_kernel_integral(np.array([]), 1.0)
+
+    @pytest.mark.parametrize("g", [[5.0], [[1.0, 2.0]]], ids=["one-sample", "2-D"])
+    def test_malformed_samples_rejected(self, g):
+        # The segment check of the transport resolvent, which follows this
+        # call in every kernel step.
+        with pytest.raises(ParameterError):
+            delay_kernel_integral(g, 1.0)
 
 
 def _numpy_scalar_suffix_sums(g):

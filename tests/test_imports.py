@@ -1,4 +1,5 @@
-"""Which scipy subpackages each kind of run loads, checked in fresh interpreters.
+"""Which scipy subpackages (and whether ``numpy.random``) each kind of run
+loads, checked in fresh interpreters.
 
 pytest and the other test modules import scipy themselves, so every check
 runs its script in a new interpreter and reads ``sys.modules`` there.
@@ -104,4 +105,16 @@ def test_unfactored_solve_as_first_lapack_call():
         assert not sys_.factored
         dense = np.diag(sys_.diag) + np.diag(sys_.sub, -1) + np.diag(sys_.sup, 1)
         assert np.allclose(dense @ x, rhs, rtol=0, atol=1e-14), x
+    """)
+
+
+def test_stability_command_loads_no_numpy_random():
+    run_fresh("""
+        import contextlib
+        import io
+        from ddesplit.cli import main
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["stability", "--profile-n", "2000"]) == 0
+        assert "numpy.random" not in sys.modules
     """)

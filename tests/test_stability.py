@@ -59,6 +59,16 @@ class TestCompanionOperator:
             assert op.apply(x) == pytest.approx(mat @ x, rel=1e-14, abs=1e-15)
 
 
+@st.composite
+def _admissible_labs(draw):
+    """(m, a, b, h) with tau = -m h; h a <= 0.75 keeps 1 - h a >= 0.25."""
+    m = draw(st.integers(1, 300))
+    h = draw(st.floats(1e-3, 0.5))
+    a = draw(st.floats(-5.0, 1.5))
+    b = draw(st.floats(-10.0, 10.0))
+    return m, a, b, h
+
+
 class TestBuildPropagators:
     def test_zero_coefficients_collapse_to_the_shift(self):
         props = build_discrete_propagators(_problem(a=0.0, b=0.0, tau=-0.4),
@@ -99,6 +109,18 @@ class TestBuildPropagators:
         assert props.P @ x == pytest.approx([p_top, x[0], x[1]], rel=1e-14)
         assert props.R @ x == pytest.approx([r_top, x[0], x[1]], rel=1e-14)
 
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(_admissible_labs(), st.integers(0, 2**32 - 1))
+    def test_rows_match_the_scalar_steps_on_drawn_labs(self, lab, seed):
+        m, a, b, h = lab
+        props = build_discrete_propagators(_problem(a=a, b=b, tau=-m * h), h=h)
+        assert props.m == m
+        x = np.random.default_rng(seed).standard_normal(m + 1)
+        p_ref = np.concatenate(([lt_step(x[0], x[m], a, b, h)], x[:-1]))
+        r_ref = np.concatenate(([ie_step(x[0], x[m - 1], a, b, h)], x[:-1]))
+        assert np.allclose(props.P @ x, p_ref, rtol=0, atol=1e-12)
+        assert np.allclose(props.R @ x, r_ref, rtol=0, atol=1e-12)
+
     def test_fractional_lag_rejected(self):
         with pytest.raises(ParameterError):
             build_discrete_propagators(_problem(tau=-0.257), h=0.1)
@@ -126,6 +148,18 @@ class TestDefectAndSmallness:
             beta = h * b / (1.0 - h * a)
             assert defect_norm(props) == pytest.approx(2.0 * abs(beta),
                                                        rel=1e-13)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(_admissible_labs())
+    def test_defect_is_exactly_twice_the_coupling_weight(self, lab):
+        m, a, b, h = lab
+        props = build_discrete_propagators(_problem(a=a, b=b, tau=-m * h), h=h)
+        alpha, beta = props.coeffs.alpha, props.coeffs.beta
+        if m == 1:
+            # Both couplings share column 0, so E[0, 0] = (alpha + beta) - alpha.
+            assert defect_norm(props) == abs((alpha + beta) - alpha) + abs(beta)
+        else:
+            assert defect_norm(props) == 2 * abs(beta)
 
     def test_defect_scales_linearly_with_the_step(self):
         rates = []
