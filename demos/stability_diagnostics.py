@@ -1,13 +1,13 @@
 """Spectral and summability diagnostics for the one-step delay operator
 at a = -0.15, b = -6.0, tau = -0.257, h = 0.001 (m = 257)."""
 
-from ddesplit.scalar import ScalarDelayProblem, StepCoefficients
+import numpy as np
+
+from ddesplit.scalar import ScalarDelayProblem
 from ddesplit.stability import (
-    CompanionOperator,
-    build_discrete_propagators,
+    companion_operator,
     companion_profiles,
     defect_norm,
-    dense_spectral_radius,
     estimate_os_norm,
     spectral_radius,
 )
@@ -17,18 +17,15 @@ A, B, TAU, H = -0.15, -6.0, -0.257, 0.001
 
 def main():
     problem = ScalarDelayProblem(a=A, b=B, tau=TAU, history=lambda t: 0.0)
-    coeffs = StepCoefficients.from_params(A, B, H)
-    m = round(-TAU / H)
-    op = CompanionOperator(m=m, alpha=coeffs.alpha, beta=coeffs.beta)
+    op = companion_operator(problem, H)
     rho = spectral_radius(op)
-    print(f"m = {m}, alpha = {coeffs.alpha:.8f}, beta = {coeffs.beta:.8f}")
-    print(f"spectral radius = {rho:.12f} (dense check "
-          f"{dense_spectral_radius(op):.12f})")
+    print(f"m = {op.m}, alpha = {op.alpha:.8f}, beta = {op.beta:.8f}")
+    dense_rho = np.abs(np.linalg.eigvals(op.dense())).max()
+    print(f"spectral radius = {rho:.12f} (dense check {dense_rho:.12f})")
     print(f"distance to the unit circle: {1.0 - rho:.3e}")
 
-    props = build_discrete_propagators(problem, H)
-    print(f"defect |R - P| = {defect_norm(props):.6e} "
-          f"(2|beta| = {2 * abs(coeffs.beta):.6e})")
+    print(f"defect |R - P| = {defect_norm(op):.6e} "
+          f"(2|beta| = {2 * abs(op.beta):.6e})")
     print(f"splitting smallness h(|a| + |b|) = {estimate_os_norm(problem, H):.6e}")
 
     # Partial-sum norms of the powers; convergence signals summability.

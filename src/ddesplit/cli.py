@@ -40,8 +40,7 @@ from .oracle import OhiraParams, oo_solution, poly_history
 from .pde import PdeProblem, PdeRunResult, oscillating_history, run_pde
 from .scalar import RunResult, ScalarDelayProblem, SchemeConfig, run
 from .stability import (
-    CompanionOperator,
-    build_discrete_propagators,
+    companion_operator,
     companion_power_norm_sum,
     companion_profiles,
     defect_norm,
@@ -330,14 +329,12 @@ def _cmd_stability(cmd: Command) -> int:
     ns = cmd.params
     problem = ScalarDelayProblem(a=ns.a, b=ns.b, tau=ns.tau,
                                  history=lambda t: 0.0)
-    props = build_discrete_propagators(problem, ns.h)
-    op = CompanionOperator(m=props.m, alpha=props.coeffs.alpha,
-                           beta=props.coeffs.beta)
+    op = companion_operator(problem, ns.h)
     report = {
-        "m": props.m,
+        "m": op.m,
         "spectral_radius": _round12(spectral_radius(op)),
         "os_norm": _round12(estimate_os_norm(problem, ns.h)),
-        "defect_norm": _round12(defect_norm(props)),
+        "defect_norm": _round12(defect_norm(op)),
         "checkpoints": [],
         "summability": [],
         "ritt": [],

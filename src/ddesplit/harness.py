@@ -1,4 +1,4 @@
-"""Experiment drivers: order studies, growth fits, error profiles, timing.
+"""Experiment drivers: order studies, growth fits, timing.
 
 Everything here consumes the scheme runners and produces small, JSON-able
 report objects.  Fits are plain least squares with no randomized pieces, so
@@ -15,7 +15,7 @@ from typing import Dict, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import FitError, ParameterError, RootConvergenceError
-from .pde import PdeProblem, PdeRunResult, run_pde
+from .pde import PdeProblem, run_pde
 from .scalar import RunResult, ScalarDelayProblem, SchemeConfig, run
 
 
@@ -178,16 +178,6 @@ def char_root_rightmost(a: float, b: float, tau: float,
         if all(abs(r - q) > 1e-6 for q in dedup):
             dedup.append(r)
     return dedup[0]
-
-
-def error_profile(s1: Union[RunResult, PdeRunResult],
-                  s2: Union[RunResult, PdeRunResult]) -> np.ndarray:
-    """Pointwise absolute difference of two runs on identical time grids."""
-    if s1.times.shape != s2.times.shape or not np.array_equal(s1.times, s2.times):
-        raise ParameterError("time grids differ; profiles need identical grids")
-    a = s1.values if isinstance(s1, RunResult) else s1.center
-    b = s2.values if isinstance(s2, RunResult) else s2.center
-    return np.abs(a - b)
 
 
 def _runtime_labels(config_pair: Tuple[SchemeConfig, SchemeConfig]) -> Tuple[str, str]:

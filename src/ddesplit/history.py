@@ -97,21 +97,9 @@ class RingBuffer(collections.deque):
     def capacity(self) -> int:
         return self.maxlen
 
-    def peek(self, age_from_oldest: int = 0):
-        """Return the entry ``age_from_oldest`` positions newer than the oldest."""
-        if not 0 <= age_from_oldest < self.maxlen:
-            raise ParameterError(
-                f"peek index {age_from_oldest} outside capacity {self.maxlen}"
-            )
-        return self[age_from_oldest]
-
     @property
     def oldest(self):
         return self[0]
-
-    def contents(self) -> list:
-        """Snapshot of the contents, oldest first."""
-        return list(self)
 
 
 def init_from_history(history: Callable[[float], object], grid: DelayGrid,

@@ -116,10 +116,6 @@ class Tridiag:
         self._factor = _gttrf(self.sub, self.diag, self.sup)
         return self
 
-    @property
-    def factored(self) -> bool:
-        return self._factor is not None
-
 
 def _load_lapack() -> None:
     """Bind the module global ``lapack`` on first use."""

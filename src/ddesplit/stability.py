@@ -3,8 +3,9 @@
 The two grid-mode recurrences are (m+1)-dimensional linear maps on the state
 (u_n, u_{n-1}, ..., u_{n-m}).  This module assembles them as matrices
 together with the shift/coupling factors they are built from, computes
-spectral radii and summability/Ritt diagnostics, and verifies the exact
-telescoping and summation-by-parts identities that drive the error analysis.
+spectral radii, smallness norms and summability/Ritt diagnostics from the
+companion form alone, and verifies the exact telescoping and
+summation-by-parts identities that drive the error analysis.
 
 All operator norms are the induced infinity norm (max absolute row sum);
 spectral radii are norm independent.
@@ -12,6 +13,8 @@ spectral radii are norm independent.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Tuple
 
@@ -21,10 +24,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import NumericalError, ParameterError, RootConvergenceError
 from .history import DelayGrid
 from .scalar import ScalarDelayProblem, StepCoefficients
-
-
-def _inf_norm(a: np.ndarray) -> float:
-    return float(np.abs(a).sum(axis=-1).max())
 
 
 @dataclass
@@ -96,21 +95,31 @@ class DiscretePropagators:
     E: np.ndarray
 
 
+def companion_operator(problem: ScalarDelayProblem, h: float) -> CompanionOperator:
+    """The Lie-Trotter step of ``problem`` at step ``h`` in companion form.
+
+    The stability diagnostics need constant coefficients and an integer lag.
+    """
+    if problem.a_mode != "constant":
+        raise ParameterError("stability diagnostics need constant coefficients")
+    grid = DelayGrid(h, problem.tau)
+    if not grid.is_integer_lag:
+        raise ParameterError("stability diagnostics need an integer lag, "
+                             f"got -tau/h = {-problem.tau / h:.12g}")
+    coeffs = StepCoefficients.from_params(problem.a, problem.b, h)
+    return CompanionOperator(grid.m, coeffs.alpha, coeffs.beta)
+
+
 def build_discrete_propagators(problem: ScalarDelayProblem,
                                h: float) -> DiscretePropagators:
     """Assemble Sigma, D, H and the one-step matrices P, R, E.
 
     Requires constant coefficients and an integer lag.
     """
-    if problem.a_mode != "constant":
-        raise ParameterError("matrix lab requires constant coefficients")
-    grid = DelayGrid(h, problem.tau)
-    if not grid.is_integer_lag:
-        raise ParameterError("matrix lab requires an integer lag (delta = 0)")
-    m = grid.m
+    op = companion_operator(problem, h)
+    m = op.m
     d = m + 1
     a, b = problem.a, problem.b
-    coeffs = StepCoefficients.from_params(a, b, h)
 
     # Sigma is the companion matrix with alpha = 1, beta = 0.
     Sigma = CompanionOperator(m, 1.0, 0.0).dense()
@@ -119,102 +128,98 @@ def build_discrete_propagators(problem: ScalarDelayProblem,
     D[0, m] = b
     H = h * (D @ Sigma)
 
-    P = CompanionOperator(m, coeffs.alpha, coeffs.beta).dense()
+    P = op.dense()
     # R reads the delayed value one level later: beta moves from column m to
     # column m - 1 (+= : for m = 1 that is the diagonal entry).
     R = P.copy()
     R[0, m] = 0.0
-    R[0, m - 1] += coeffs.beta
+    R[0, m - 1] += op.beta
     E = R - P
-    return DiscretePropagators(m=m, h=h, coeffs=coeffs, Sigma=Sigma, D=D,
-                               H=H, P=P, R=R, E=E)
+    return DiscretePropagators(m=m, h=h, coeffs=StepCoefficients(op.alpha, op.beta),
+                               Sigma=Sigma, D=D, H=H, P=P, R=R, E=E)
 
 
-def defect_norm(props: DiscretePropagators) -> float:
-    """Infinity norm of the one-step defect R - P (exactly 2|beta| for m >= 2)."""
-    return _inf_norm(props.E)
+def defect_norm(op: CompanionOperator) -> float:
+    """Infinity norm of the one-step defect E = R - P of the matrix lab.
+
+    E has one nonzero row, beta at column m - 1 and -beta at column m, so
+    the norm is 2|beta|.  For m = 1 the beta of R shares column 0 with
+    alpha, and the row is ((alpha + beta) - alpha, -beta).
+    """
+    if op.m == 1:
+        return abs((op.alpha + op.beta) - op.alpha) + abs(op.beta)
+    return 2.0 * abs(op.beta)
 
 
 def estimate_os_norm(problem: ScalarDelayProblem, h: float) -> float:
     """Norm of the smallness factor ||h D Sigma||_inf.
 
-    Equals h(|a| + |b|) when the delay column is distinct from the diagonal
+    Equals |h a| + |h b| when the delay column is distinct from the diagonal
     (m >= 2); for m = 1 both couplings land in one column and the norm is
-    h|a + b|.
+    |h (a + b)|.
     """
-    props = build_discrete_propagators(problem, h)
-    return _inf_norm(props.H)
+    a, b = problem.a, problem.b
+    if companion_operator(problem, h).m == 1:
+        return abs(h * (a + b))
+    return abs(h * a) + abs(h * b)
 
 
-def spectral_radius(op: CompanionOperator, tol: float = 1e-12) -> float:
+# Aberth sweeps before giving up.  From the Newton-polygon starts the
+# iteration settles within 30 sweeps on every case tried, m 1 to 2570.
+_MAX_SWEEPS = 100
+
+
+def spectral_radius(op: CompanionOperator) -> float:
     """Largest root modulus of p(z) = z^{m+1} - alpha z^m - beta.
 
-    Durand-Kerner iteration on the sparse-coefficient polynomial; all m+1
-    roots are polished simultaneously.  Deterministic initial guesses sit on
-    a circle of radius max(1, |alpha|+|beta|)^{1/(m+1)} with a fixed phase
-    offset to break symmetry.
+    Aberth-Ehrlich iteration on all m+1 roots at once.  The Newton ratio
+    p/p' = (z(z - alpha) - beta z^{1-m}) / ((m+1) z - m alpha) takes
+    beta z^{1-m} from logarithms, so no power of z over- or underflows.  The
+    starting circles come from the Newton polygon of the trinomial: one root
+    near |alpha| and m near |beta/alpha|^{1/m} when |alpha|^{m+1} > |beta|,
+    else all near |beta|^{1/(m+1)}.  The sweeps stop once every residual is
+    within a bound on its rounding error, after applying that sweep's
+    correction.
     """
-    if tol <= 0:
-        raise ParameterError(f"tolerance must be positive, got {tol}")
-    n = op.m + 1
-    alpha, beta = op.alpha, op.beta
+    m, alpha, beta = op.m, op.alpha, op.beta
     if beta == 0.0:
         return abs(alpha)
-
-    def p(z):
-        return z ** op.m * (z - alpha) - beta
-
-    radius = max(1.0, abs(alpha) + abs(beta)) ** (1.0 / n)
-    z = radius * np.exp(1j * (2.0 * np.pi * np.arange(n) / n + 0.4))
-    max_sweeps = 10 * n
-    for _ in range(max_sweeps):
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        step = p(z) / diff.prod(axis=1)
-        z = z - step
-        if np.abs(step).max() < tol:
-            return float(np.abs(z).max())
+    n = m + 1
+    log_abs_beta = math.log(abs(beta))
+    if alpha != 0.0 and n * math.log(abs(alpha)) > log_abs_beta:
+        radii = np.full(n, math.exp((log_abs_beta - math.log(abs(alpha))) / m))
+        if radii[0] < np.finfo(float).tiny:
+            # The m small roots underflow; the largest is alpha to rounding.
+            return abs(alpha)
+        radii[0] = abs(alpha)
+    else:
+        radii = np.full(n, math.exp(log_abs_beta / n))
+    z = radii * np.exp(1j * (2.0 * np.pi * np.arange(n) / n + 0.4))
+    log_beta = cmath.log(beta)
+    eps = np.finfo(float).eps
+    diff = np.empty((n, n), dtype=complex)
+    # A non-finite iterate fails the residual test and ends in the error below.
+    with np.errstate(all="ignore"):
+        for _ in range(_MAX_SWEEPS):
+            log_z = np.log(z)
+            beta_z = np.exp(log_beta + (1 - m) * log_z)
+            residual = z * (z - alpha) - beta_z
+            # Rounding of z^{m+1} and alpha z^m, scaled by z^{1-m}, and of
+            # the exponential, whose argument carries |log beta| + m |log z|.
+            bound = 4.0 * eps * n * (
+                np.abs(z) * (np.abs(z) + abs(alpha))
+                + np.abs(beta_z) * (1.0 + abs(log_beta) + np.abs(log_z)))
+            converged = bool(np.all(np.abs(residual) <= bound))
+            ratio = residual / (n * z - m * alpha)
+            np.subtract(z[:, None], z, out=diff)
+            np.fill_diagonal(diff, np.inf)
+            z = z - ratio / (1.0 - ratio * np.reciprocal(diff, out=diff).sum(axis=1))
+            if converged:
+                return float(np.abs(z).max())
     raise RootConvergenceError(
-        f"no convergence after {max_sweeps} sweeps",
-        residual=float(np.abs(p(z)).max()),
+        f"no convergence after {_MAX_SWEEPS} sweeps",
+        residual=float(np.abs(residual).max()),
     )
-
-
-def dense_spectral_radius(op: CompanionOperator) -> float:
-    """Eigensolver route on the dense companion matrix (test oracle)."""
-    return float(np.abs(np.linalg.eigvals(op.dense())).max())
-
-
-def stability_profiles(op: np.ndarray, N: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Exact summability and Ritt sequences by repeated multiplication.
-
-    Returns (S, r) with S[k-1] = ||sum_{j<k} op^j||_inf for k = 1..N and
-    r[n-1] = n * ||op^n - op^{n-1}||_inf.  Dense and exact to rounding (no
-    eigendecomposition), so only suitable for desk-scale N and dimension.
-    """
-    op = np.asarray(op, dtype=float)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ParameterError("operator must be a square matrix")
-    if N < 1:
-        raise ParameterError(f"N must be >= 1, got {N}")
-    d = op.shape[0]
-    power_prev = np.eye(d)
-    partial = np.eye(d)
-    S = np.empty(N)
-    r = np.empty(N)
-    S[0] = _inf_norm(partial)
-    # Overflow is detected and reported below, not left to hardware warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, N + 1):
-            power = power_prev @ op
-            if not np.isfinite(power).all():
-                raise NumericalError(f"power overflow at n = {n}")
-            r[n - 1] = n * _inf_norm(power - power_prev)
-            if n < N:
-                partial = partial + power
-                S[n] = _inf_norm(partial)
-            power_prev = power
-    return S, r
 
 
 # The first-row sequences are produced this many steps at a time, so memory
@@ -293,8 +298,8 @@ def companion_profiles(op: CompanionOperator, checkpoints: Sequence[int]
     O(chunk + m) memory, which is what makes six-figure horizons affordable.
 
     Returns (S_values, r_values) aligned with the sorted deduplicated
-    checkpoint list; entries match the dense :func:`stability_profiles`
-    exactly to rounding.
+    checkpoint list; entries match repeated dense multiplication exactly to
+    rounding.
     """
     ks = sorted(set(int(k) for k in checkpoints))
     if not ks or ks[0] < 1:
@@ -331,29 +336,6 @@ def companion_profiles(op: CompanionOperator, checkpoints: Sequence[int]
                 r_vals.append(n * max(2.0 if n <= m else 0.0,
                                       _max_row_norm(heads, window, m)))
     return np.array(S_vals, dtype=float), np.array(r_vals, dtype=float)
-
-
-def power_norm_sum(op: np.ndarray, N: int) -> float:
-    """Sum of power norms sum_{n<N} ||op^n||_inf by repeated multiplication.
-
-    Distinct from the partial-sum norms of :func:`stability_profiles`: this
-    is the series whose uniform boundedness the modulus heuristic
-    1/(1 - rho) tries to estimate.  Dense; test-scale only.
-    """
-    op = np.asarray(op, dtype=float)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ParameterError("operator must be a square matrix")
-    if N < 1:
-        raise ParameterError(f"N must be >= 1, got {N}")
-    power = np.eye(op.shape[0])
-    total = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, N):
-            power = power @ op
-            if not np.isfinite(power).all():
-                raise NumericalError(f"power overflow at n = {n}")
-            total += _inf_norm(power)
-    return total
 
 
 def companion_power_norm_sum(op: CompanionOperator, N: int) -> float:

@@ -3,17 +3,21 @@
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from ddesplit import stability
 from ddesplit.cli import main, parse
-from ddesplit.scalar import ScalarDelayProblem, SchemeConfig, run
+from ddesplit.scalar import ScalarDelayProblem, SchemeConfig, StepCoefficients, run
 from ddesplit.stability import (
     CompanionOperator,
     companion_power_norm_sum,
     companion_profiles,
 )
+
+from dense_stability import dense_spectral_radius
 
 CSV_CELL = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
 
@@ -209,6 +213,34 @@ class TestStabilityOutput:
         assert rc == 1
         assert captured.err.startswith("error:")
         assert captured.out == ""
+
+    def test_fractional_lag_is_a_runtime_error_naming_the_lag(self, capsys):
+        rc = main(["stability", "--h", "0.0004"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == ("error: stability diagnostics need an integer "
+                                "lag, got -tau/h = 642.5\n")
+        assert captured.out == ""
+
+    def test_large_delay_depth(self, capsys):
+        assert main(["stability", "--h", "0.0004", "--tau", "-0.2568"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["m"] == 642
+        coeffs = StepCoefficients.from_params(-0.15, -6.0, 0.0004)
+        oracle = dense_spectral_radius(
+            CompanionOperator(m=642, alpha=coeffs.alpha, beta=coeffs.beta))
+        # The report keeps 12 significant digits.
+        assert data["spectral_radius"] == pytest.approx(oracle, rel=1e-11)
+
+    def test_report_builds_no_dense_matrix(self, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense matrix built")
+
+        with mock.patch.object(stability, "build_discrete_propagators", refuse), \
+                mock.patch.object(CompanionOperator, "dense", refuse):
+            rc = main(["stability", "--profile-n", "50"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["m"] == 257
 
 
 class TestOracleOutput:

@@ -13,11 +13,10 @@ from ddesplit.harness import (
     char_root_rightmost,
     compare_runtime,
     convergence_study,
-    error_profile,
     exp_growth_fit,
 )
 from ddesplit.oracle import poly_history
-from ddesplit.pde import PdeProblem, run_pde
+from ddesplit.pde import PdeProblem
 from ddesplit.scalar import RunResult, ScalarDelayProblem, SchemeConfig, run
 
 from conftest import SCALAR_A, SCALAR_B
@@ -151,37 +150,6 @@ class TestCharacteristicRoot:
 
 
 class TestErrorProfile:
-    def test_identical_runs_give_zero(self):
-        prob = ScalarDelayProblem(a=-0.3, b=-1.0, tau=-0.5,
-                                  history=lambda t: 1.0)
-        res = run(prob, SchemeConfig(h=0.1, T=2.0))
-        assert np.all(error_profile(res, res) == 0.0)
-
-    def test_scaled_copy_gives_the_scaled_magnitude(self):
-        prob = ScalarDelayProblem(a=-0.3, b=-1.0, tau=-0.5,
-                                  history=lambda t: 1.0)
-        res = run(prob, SchemeConfig(h=0.1, T=2.0))
-        scaled = RunResult(times=res.times, values=1.25 * res.values,
-                           scheme=res.scheme)
-        assert error_profile(res, scaled) == pytest.approx(
-            0.25 * np.abs(res.values), rel=1e-13)
-
-    def test_mismatched_grids_rejected(self):
-        prob = ScalarDelayProblem(a=-0.3, b=-1.0, tau=-0.5,
-                                  history=lambda t: 1.0)
-        r1 = run(prob, SchemeConfig(h=0.1, T=2.0))
-        r2 = run(prob, SchemeConfig(h=0.1, T=3.0))
-        with pytest.raises(ParameterError):
-            error_profile(r1, r2)
-
-    def test_field_runs_compare_center_traces(self):
-        prob = PdeProblem(kappa=0.02, lambda0=-0.8, b=-0.8, tau=-0.6,
-                          Nx=8, history=_osc_field)
-        ie = run_pde(prob, SchemeConfig(h=0.1, T=1.0, scheme="ie"))
-        lt = run_pde(prob, SchemeConfig(h=0.1, T=1.0, scheme="lt"))
-        profile = error_profile(ie, lt)
-        assert profile == pytest.approx(np.abs(ie.center - lt.center))
-
     def test_scheme_gap_swells_then_fades(self):
         # With a(t) = a*t the late ramp is strongly dissipative, so the
         # inter-scheme gap rises from zero, peaks, and dies back down.
@@ -190,7 +158,7 @@ class TestErrorProfile:
         cfg = dict(h=0.1, T=80.0)
         ie = run(prob, SchemeConfig(scheme="ie", **cfg))
         lt = run(prob, SchemeConfig(scheme="lt", **cfg))
-        profile = error_profile(ie, lt)
+        profile = np.abs(ie.values - lt.values)
         assert profile[0] == 0.0
         peak = int(np.argmax(profile))
         assert 0 < peak < profile.size - 1

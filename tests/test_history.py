@@ -69,29 +69,24 @@ class TestRingBuffer:
     def test_push_discards_oldest(self):
         buf = RingBuffer([1, 2, 3])
         buf.push(4)
-        assert buf.contents() == [2, 3, 4]
+        assert list(buf) == [2, 3, 4]
         assert buf.oldest == 2
 
     def test_capacity_two_full_overwrite(self):
         buf = RingBuffer(["x1", "x2"])
         buf.push("y1")
         buf.push("y2")
-        assert buf.contents() == ["y1", "y2"]
+        assert list(buf) == ["y1", "y2"]
 
     def test_capacity_one_degenerate(self):
         buf = RingBuffer([5])
         buf.push(7)
-        assert buf.contents() == [7]
+        assert list(buf) == [7]
         assert buf.oldest == 7
 
     def test_empty_initializer_rejected(self):
         with pytest.raises(ParameterError):
             RingBuffer([])
-
-    @pytest.mark.parametrize("idx", [-1, 3, 10])
-    def test_peek_out_of_range_rejected(self, idx):
-        with pytest.raises(ParameterError):
-            RingBuffer([1, 2, 3]).peek(idx)
 
     def test_len_is_capacity(self):
         assert len(RingBuffer([0.0] * 7)) == 7
@@ -122,35 +117,32 @@ class TestRingBuffer:
         for value in pushes:
             buf.push(value)
             fifo = fifo[1:] + [value]
-            assert buf.contents() == fifo
+            assert list(buf) == fifo
             assert buf.oldest == fifo[0]
-            assert [buf.peek(k) for k in range(cap)] == fifo
+            assert [buf[k] for k in range(cap)] == fifo
             assert len(buf) == cap
             assert delayed_value(buf, on_grid) == fifo[0]
             if off_grid is not None:
                 w = off_grid.delta / off_grid.h
                 assert delayed_value(buf, off_grid) == w * fifo[0] + (1.0 - w) * fifo[1]
-            for k in (-1, cap):
-                with pytest.raises(ParameterError):
-                    buf.peek(k)
 
 
 class TestInitFromHistory:
     def test_constant_history_fills_all_slots(self):
         grid = DelayGrid(h=0.25, tau=-1.0)
         buf = init_from_history(lambda t: 3.5, grid, capacity=4)
-        assert buf.contents() == [3.5] * 4
+        assert list(buf) == [3.5] * 4
 
     def test_oldest_slot_samples_the_left_endpoint(self):
         grid = DelayGrid(h=0.25, tau=-1.0)
         buf = init_from_history(lambda t: t, grid, capacity=4)
         assert buf.oldest == -1.0
-        assert buf.contents() == pytest.approx([-1.0, -0.75, -0.5, -0.25])
+        assert list(buf) == pytest.approx([-1.0, -0.75, -0.5, -0.25])
 
     def test_polynomial_history_newest_slot_is_its_constant_term(self):
         grid = DelayGrid(h=1.0, tau=-8.0)
         buf = init_from_history(poly_history, grid, capacity=9)
-        assert buf.peek(8) == pytest.approx(0.14815, abs=1e-12)
+        assert buf[8] == pytest.approx(0.14815, abs=1e-12)
 
     def test_sample_beyond_zero_rejected(self):
         grid = DelayGrid(h=0.25, tau=-1.0)

@@ -102,7 +102,7 @@ def test_unfactored_solve_as_first_lapack_call():
         rhs = np.array([1.0, 2.0, 3.0])
         assert_no_scipy()
         x = thomas_solve(sys_, rhs)
-        assert not sys_.factored
+        assert sys_._factor is None
         dense = np.diag(sys_.diag) + np.diag(sys_.sub, -1) + np.diag(sys_.sup, 1)
         assert np.allclose(dense @ x, rhs, rtol=0, atol=1e-14), x
     """)

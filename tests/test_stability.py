@@ -1,31 +1,37 @@
 """Companion operators, spectral radii, summability, and exact identities."""
 
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddesplit import stability
 from ddesplit.errors import NumericalError, ParameterError
+from ddesplit.harness import char_root_rightmost
 from ddesplit.scalar import ScalarDelayProblem, StepCoefficients, ie_step, lt_step
 from ddesplit.stability import (
     CompanionOperator,
     build_discrete_propagators,
+    companion_operator,
     companion_power_norm_sum,
     companion_profiles,
     defect_norm,
-    dense_spectral_radius,
     estimate_os_norm,
-    power_norm_sum,
     spectral_radius,
-    stability_profiles,
     verify_abel,
     verify_telescoping,
 )
 
 from conftest import SCALAR_A, SCALAR_B, SCALAR_TAU
+from dense_stability import (
+    dense_spectral_radius,
+    inf_norm,
+    power_norm_sum,
+    stability_profiles,
+)
 
 
 def _problem(a=SCALAR_A, b=SCALAR_B, tau=SCALAR_TAU, **kw):
@@ -82,7 +88,7 @@ class TestBuildPropagators:
         props = build_discrete_propagators(_problem(), h=0.001)
         assert props.m == 257
         assert props.coeffs.beta == pytest.approx(-0.00599910, abs=5e-9)
-        assert defect_norm(props) == pytest.approx(0.0119982, abs=1e-8)
+        assert inf_norm(props.E) == pytest.approx(0.0119982, abs=1e-8)
 
     def test_implicit_step_is_the_resolvent_times_the_shift(self):
         props = build_discrete_propagators(_problem(tau=-0.005), h=0.001)
@@ -122,7 +128,7 @@ class TestBuildPropagators:
         assert np.allclose(props.R @ x, r_ref, rtol=0, atol=1e-12)
 
     def test_fractional_lag_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"integer lag, got -tau/h = 2\.57$"):
             build_discrete_propagators(_problem(tau=-0.257), h=0.1)
 
     def test_time_dependent_coefficient_rejected(self):
@@ -132,8 +138,8 @@ class TestBuildPropagators:
 
 class TestDefectAndSmallness:
     def test_defect_vanishes_without_coupling(self):
-        props = build_discrete_propagators(_problem(b=0.0, tau=-0.4), h=0.1)
-        assert defect_norm(props) == 0.0
+        assert defect_norm(companion_operator(_problem(b=0.0, tau=-0.4),
+                                              h=0.1)) == 0.0
 
     def test_defect_equals_twice_the_coupling_weight(self):
         rng = np.random.default_rng(7)
@@ -143,11 +149,9 @@ class TestDefectAndSmallness:
             b = rng.uniform(-5.0, 5.0)
             h = rng.uniform(0.01, 0.3)
             m = int(rng.integers(1, 9))
-            props = build_discrete_propagators(_problem(a=a, b=b, tau=-m * h),
-                                               h=h)
+            op = companion_operator(_problem(a=a, b=b, tau=-m * h), h=h)
             beta = h * b / (1.0 - h * a)
-            assert defect_norm(props) == pytest.approx(2.0 * abs(beta),
-                                                       rel=1e-13)
+            assert defect_norm(op) == pytest.approx(2.0 * abs(beta), rel=1e-13)
 
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(_admissible_labs())
@@ -157,15 +161,23 @@ class TestDefectAndSmallness:
         alpha, beta = props.coeffs.alpha, props.coeffs.beta
         if m == 1:
             # Both couplings share column 0, so E[0, 0] = (alpha + beta) - alpha.
-            assert defect_norm(props) == abs((alpha + beta) - alpha) + abs(beta)
+            assert inf_norm(props.E) == abs((alpha + beta) - alpha) + abs(beta)
         else:
-            assert defect_norm(props) == 2 * abs(beta)
+            assert inf_norm(props.E) == 2 * abs(beta)
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(_admissible_labs())
+    def test_closed_forms_equal_the_dense_row_sums(self, lab):
+        m, a, b, h = lab
+        problem = _problem(a=a, b=b, tau=-m * h)
+        props = build_discrete_propagators(problem, h=h)
+        assert defect_norm(companion_operator(problem, h)) == inf_norm(props.E)
+        assert estimate_os_norm(problem, h) == inf_norm(props.H)
 
     def test_defect_scales_linearly_with_the_step(self):
         rates = []
         for h in (0.01, 0.005, 0.0025):
-            props = build_discrete_propagators(_problem(tau=-0.25), h=h)
-            rates.append(defect_norm(props) / h)
+            rates.append(defect_norm(companion_operator(_problem(tau=-0.25), h)) / h)
         spread = (max(rates) - min(rates)) / max(rates)
         assert spread < 0.01
 
@@ -221,10 +233,28 @@ class TestSpectralRadius:
         op = CompanionOperator(m=m, alpha=0.999, beta=-0.006)
         assert abs(spectral_radius(op) - dense_spectral_radius(op)) <= 1e-10
 
-    def test_nonpositive_tolerance_rejected(self):
-        op = CompanionOperator(m=2, alpha=0.5, beta=0.1)
-        with pytest.raises(ParameterError):
-            spectral_radius(op, tol=0.0)
+    # Draws that failed the former Durand-Kerner route or the unscaled
+    # eigenvalue oracle, and one that overflows beta z**(1 - m) formed directly.
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 60), st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+    @example(1, 0.0, 1.301923766726049e-63)
+    @example(25, 0.0, 6.054903652415098e-90)
+    @example(60, 0.3, -1.4)
+    @example(60, 0.32097158004953363, 1.8841742330701293e-300)
+    @example(1, 1e-8, 1e-20)
+    def test_matches_the_rescaled_eigensolver(self, m, alpha, beta):
+        op = CompanionOperator(m=m, alpha=alpha, beta=beta)
+        oracle = dense_spectral_radius(op)
+        assert abs(spectral_radius(op) - oracle) <= 1e-13 * oracle
+
+    def test_radius_tracks_the_characteristic_root_to_first_order(self):
+        # log(rho)/h approaches the real part of the rightmost root of
+        # lambda = a + b e^{lambda tau} with an O(h) gap, up to m = 2570.
+        root = char_root_rightmost(SCALAR_A, SCALAR_B, SCALAR_TAU)
+        for h, m in ((1e-3, 257), (2.5e-4, 1028), (1e-4, 2570)):
+            coeffs = StepCoefficients.from_params(SCALAR_A, SCALAR_B, h)
+            rho = spectral_radius(CompanionOperator(m, coeffs.alpha, coeffs.beta))
+            assert (math.log(rho) / h - root.real) / h == pytest.approx(5.28, rel=0.01)
 
 
 class TestStabilityProfiles:
