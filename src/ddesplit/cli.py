@@ -24,7 +24,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -54,16 +53,6 @@ SCALAR_DEFAULTS = dict(a=-0.15, b=-6.0, tau=-0.257, h=0.001, T=40.0)
 # Bundled benchmark defaults of the field model; --mode toggles the modulation.
 PDE_DEFAULTS = dict(kappa=0.02, lambda0=-0.8, b=-0.8, tau=-0.6,
                     h=0.002, Nx=300, T=8.0, L=1.0, T_lambda=4.0)
-
-
-@dataclass
-class Command:
-    """Parsed invocation: subcommand plus its validated flag namespace."""
-
-    subcommand: str
-    params: argparse.Namespace
-    out: Optional[str]
-    fmt: str
 
 
 def _checked(convert, ok, what: str):
@@ -207,10 +196,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def parse(argv: Optional[Sequence[str]] = None) -> Command:
-    """Parse and validate argv into a Command (exit code 2 on usage errors)."""
-    ns = _build_parser().parse_args(argv)
-    return Command(subcommand=ns.subcommand, params=ns, out=ns.out, fmt=ns.format)
+def parse(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
+    """Parse and validate argv into its namespace (exit code 2 on usage errors)."""
+    return _build_parser().parse_args(argv)
 
 
 def _fmt(value: float) -> str:
@@ -299,20 +287,18 @@ def _pde_problem(ns) -> PdeProblem:
                       T_lambda=ns.T_lambda, L=ns.L)
 
 
-def _cmd_scalar(cmd: Command) -> int:
-    ns = cmd.params
+def _cmd_scalar(ns: argparse.Namespace) -> int:
     config = SchemeConfig(h=ns.h, T=ns.T, scheme=ns.scheme,
                           delay_mode=ns.delay_mode)
     result = run(_scalar_problem(ns), config)
     meta = {"a": ns.a, "a_mode": ns.a_mode, "b": ns.b, "tau": ns.tau,
             "h": ns.h, "T": ns.T, "history": ns.history}
-    write_series(result, cmd.fmt, cmd.out, params=meta)
+    write_series(result, ns.format, ns.out, params=meta)
     print(f"wall clock: {result.wall_clock:.3f} s", file=sys.stderr)
     return 0
 
 
-def _cmd_pde(cmd: Command) -> int:
-    ns = cmd.params
+def _cmd_pde(ns: argparse.Namespace) -> int:
     problem = _pde_problem(ns)
     config = SchemeConfig(h=ns.h, T=ns.T, scheme=ns.scheme, delay_mode="grid")
     result = run_pde(problem, config)
@@ -320,13 +306,12 @@ def _cmd_pde(cmd: Command) -> int:
             "lambda1": problem.lambda1, "T_lambda": problem.T_lambda,
             "b": problem.b, "tau": problem.tau, "Nx": problem.Nx,
             "L": problem.L, "h": ns.h, "T": ns.T}
-    write_series(result, cmd.fmt, cmd.out, params=meta)
+    write_series(result, ns.format, ns.out, params=meta)
     print(f"wall clock: {result.wall_clock:.3f} s", file=sys.stderr)
     return 0
 
 
-def _cmd_stability(cmd: Command) -> int:
-    ns = cmd.params
+def _cmd_stability(ns: argparse.Namespace) -> int:
     problem = ScalarDelayProblem(a=ns.a, b=ns.b, tau=ns.tau,
                                  history=lambda t: 0.0)
     op = companion_operator(problem, ns.h)
@@ -351,12 +336,11 @@ def _cmd_stability(cmd: Command) -> int:
         report["summability"] = [_round12(v) for v in s_vals]
         report["ritt"] = [_round12(v) for v in r_vals]
         report["power_norm_sum"] = _round12(companion_power_norm_sum(op, n_max))
-    _write_json(report, cmd.out)
+    _write_json(report, ns.out)
     return 0
 
 
-def _cmd_oracle(cmd: Command) -> int:
-    ns = cmd.params
+def _cmd_oracle(ns: argparse.Namespace) -> int:
     p = OhiraParams(a=ns.a, b=ns.b, tau=ns.tau, omega_max=ns.omega_max,
                     n_nodes=ns.n_nodes)
     times = np.linspace(ns.t0, ns.t1, ns.num)
@@ -364,23 +348,21 @@ def _cmd_oracle(cmd: Command) -> int:
     result = RunResult(times=times, values=values, scheme="oracle")
     meta = {"a": ns.a, "b": ns.b, "tau": ns.tau,
             "omega_max": ns.omega_max, "n_nodes": ns.n_nodes}
-    write_series(result, cmd.fmt, cmd.out, params=meta)
+    write_series(result, ns.format, ns.out, params=meta)
     return 0
 
 
-def _cmd_convergence(cmd: Command) -> int:
-    ns = cmd.params
+def _cmd_convergence(ns: argparse.Namespace) -> int:
     h_list = [float(tok) for tok in ns.h_list.split(",") if tok]
     pair = tuple(tok.strip() for tok in ns.pair.split(","))
     if len(pair) != 2:
         raise ParameterError(f"--pair needs exactly two variants, got {ns.pair!r}")
     report = convergence_study(_scalar_problem(ns), pair, h_list, ns.T)
-    _write_json(report.to_json(), cmd.out)
+    _write_json(report.to_json(), ns.out)
     return 0
 
 
-def _cmd_growth_fit(cmd: Command) -> int:
-    ns = cmd.params
+def _cmd_growth_fit(ns: argparse.Namespace) -> int:
     config = SchemeConfig(h=ns.h, T=ns.T, scheme=ns.scheme, delay_mode="grid")
     result = run(_scalar_problem(ns), config)
     fit = exp_growth_fit(result, ns.t_start)
@@ -391,12 +373,11 @@ def _cmd_growth_fit(cmd: Command) -> int:
                                  "constant reaction coefficient")
         root = char_root_rightmost(ns.a, ns.b, ns.tau)
         report["omega_ref"] = _round12(root.real)
-    _write_json(report, cmd.out)
+    _write_json(report, ns.out)
     return 0
 
 
-def _cmd_timing(cmd: Command) -> int:
-    ns = cmd.params
+def _cmd_timing(ns: argparse.Namespace) -> int:
     if ns.target == "scalar":
         defaults = SCALAR_DEFAULTS
         problem = ScalarDelayProblem(a=defaults["a"], b=defaults["b"],
@@ -412,7 +393,7 @@ def _cmd_timing(cmd: Command) -> int:
     pair = (SchemeConfig(h=h, T=T, scheme="ie"),
             SchemeConfig(h=h, T=T, scheme="lt"))
     report = compare_runtime(problem, pair, repetitions=ns.reps)
-    _write_json(report.to_json(), cmd.out)
+    _write_json(report.to_json(), ns.out)
     return 0
 
 
@@ -427,10 +408,10 @@ _HANDLERS = {
 }
 
 
-def execute(cmd: Command) -> int:
+def execute(ns: argparse.Namespace) -> int:
     """Run a parsed command; 0 on success, 1 on numerical or I/O failure."""
     try:
-        return _HANDLERS[cmd.subcommand](cmd)
+        return _HANDLERS[ns.subcommand](ns)
     except (ParameterError, NumericalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

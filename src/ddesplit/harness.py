@@ -7,6 +7,7 @@ reports are deterministic for identical inputs.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from statistics import median
@@ -14,7 +15,7 @@ from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import FitError, ParameterError, RootConvergenceError
+from .errors import FitError, ParameterError, require_finite
 from .pde import PdeProblem, run_pde
 from .scalar import RunResult, ScalarDelayProblem, SchemeConfig, run
 
@@ -68,12 +69,10 @@ class RuntimeReport:
 
 def _parse_variant(tag: str) -> Tuple[str, str]:
     """Split a scheme tag like "ie" or "lt-kernel" into (scheme, mode)."""
-    parts = tag.split("-")
-    scheme = parts[0]
-    mode = parts[1] if len(parts) > 1 else "grid"
-    if scheme not in ("ie", "lt") or mode not in ("grid", "kernel"):
+    scheme, dash, mode = tag.partition("-")
+    if scheme not in ("ie", "lt") or (dash and mode not in ("grid", "kernel")):
         raise ParameterError(f"unknown scheme variant {tag!r}")
-    return scheme, mode
+    return scheme, mode or "grid"
 
 
 def convergence_study(problem: ScalarDelayProblem,
@@ -133,51 +132,34 @@ def exp_growth_fit(series: RunResult, t_start: float) -> GrowthFit:
                      window=(float(t_start), float(t[-1])))
 
 
-def char_root_rightmost(a: float, b: float, tau: float,
-                        re_range: Tuple[float, float] = (-1.0, 1.0),
-                        im_max: float = 20.0) -> complex:
-    """Rightmost root of lambda = a + b exp(lambda tau) in a search box.
+def char_root_rightmost(a: float, b: float, tau: float) -> complex:
+    """Rightmost root of lambda = a + b exp(lambda tau) for tau < 0.
 
-    Newton iterations seeded from a grid over the box; converged roots are
-    deduplicated and the one with the largest real part wins.  Conjugate
-    roots are equivalent for growth rates, so only Im >= 0 is scanned.
+    With w = (a - lambda) tau the equation reads w e^w = z, z = -b tau
+    e^{a tau}, so the roots are a - W_k(z) / tau over the Lambert-W branches
+    k.  For real a, b and tau the principal branch W_0 gives the largest real
+    part (Shinozaki & Mori, Automatica 42, 2006).  Where z overflows a
+    double, W_0 solves w + log w = log z by Newton's method from
+    log z - log log z instead.  Conjugate roots are equivalent for growth
+    rates; the one with Im >= 0 is returned.
     """
+    require_finite(a=a, b=b, tau=tau)
     if tau >= 0:
         raise ParameterError(f"delay must be negative, got {tau}")
-
-    def f(lam: complex) -> complex:
-        return lam - a - b * np.exp(lam * tau)
-
-    def fp(lam: complex) -> complex:
-        return 1.0 - b * tau * np.exp(lam * tau)
-
-    roots = []
-    for re0 in np.linspace(re_range[0], re_range[1], 9):
-        for im0 in np.linspace(0.0, im_max, 81):
-            lam = complex(re0, im0)
-            for _ in range(60):
-                val = f(lam)
-                if abs(val) < 1e-13:
-                    break
-                dval = fp(lam)
-                if dval == 0:
-                    break
-                step = val / dval
-                lam = lam - step
-                if abs(lam) > 1e6:
-                    break
-            else:
-                continue
-            if abs(f(lam)) < 1e-13:
-                roots.append(complex(lam.real, abs(lam.imag)))
-    if not roots:
-        raise RootConvergenceError("no characteristic root converged in the box",
-                                   residual=math.inf)
-    dedup = []
-    for r in sorted(roots, key=lambda z: -z.real):
-        if all(abs(r - q) > 1e-6 for q in dedup):
-            dedup.append(r)
-    return dedup[0]
+    if b == 0:
+        return complex(a, 0.0)
+    log_abs_z = math.log(abs(b)) + math.log(-tau) + a * tau
+    if log_abs_z < 709.0:  # e^709.78 is the largest double
+        # Imported here: `ddesplit stability` loads this module but no scipy.
+        from scipy.special import lambertw
+        w = complex(lambertw(math.copysign(math.exp(log_abs_z), b)))
+    else:
+        log_z = complex(log_abs_z, math.pi if b < 0 else 0.0)
+        w = log_z - cmath.log(log_z)
+        for _ in range(3):  # relative steps 1e-5, 1e-13, then rounding
+            w -= (w + cmath.log(w) - log_z) * w / (w + 1.0)
+    root = a - w / tau
+    return complex(root.real, abs(root.imag))
 
 
 def _runtime_labels(config_pair: Tuple[SchemeConfig, SchemeConfig]) -> Tuple[str, str]:

@@ -380,13 +380,12 @@ def _sliding_max(x: np.ndarray, w: int) -> np.ndarray:
 
 
 def verify_telescoping(R_list: Sequence[np.ndarray],
-                       P_list: Sequence[np.ndarray],
-                       return_scale: bool = False):
-    """Residual of the time-ordered telescoping identity.
+                       P_list: Sequence[np.ndarray]) -> Tuple[float, float]:
+    """Residual of the time-ordered telescoping identity, and its scale.
 
     Checks prod R - prod P = sum_k R_{n-1:k+1} (R_k - P_k) P_{k-1:0}
-    entrywise; the result must vanish to rounding.  With ``return_scale``
-    the largest intermediate magnitude is returned as well.
+    entrywise; the residual must vanish to rounding relative to the scale,
+    the largest intermediate magnitude (at least 1).
     """
     if len(R_list) != len(P_list) or not R_list:
         raise ParameterError("need equally many R and P factors, at least one")
@@ -408,8 +407,6 @@ def verify_telescoping(R_list: Sequence[np.ndarray],
     for k in range(n):
         rhs += suffix[k + 1] @ (R_list[k] - P_list[k]) @ prefix[k]
     residual = float(np.abs(lhs - rhs).max())
-    if not return_scale:
-        return residual
     scale = max(
         float(np.abs(lhs).max()),
         max(float(np.abs(s).max()) for s in suffix),
@@ -419,13 +416,14 @@ def verify_telescoping(R_list: Sequence[np.ndarray],
     return residual, scale
 
 
-def verify_abel(T: np.ndarray, tau_list: Sequence[np.ndarray],
-                return_scale: bool = False):
-    """Residual of the summation-by-parts identity for matrix powers.
+def verify_abel(T: np.ndarray,
+                tau_list: Sequence[np.ndarray]) -> Tuple[float, float]:
+    """Residual of the summation-by-parts identity for matrix powers, and its scale.
 
     Checks sum_{k=0}^{n-1} T^{n-1-k} tau_k = A_{n-1}
     - sum_{m=1}^{n-1} (T^{m-1} - T^m) A_{n-1-m}, with A_k the partial sums
-    of the tau vectors.  Both sides are evaluated directly.
+    of the tau vectors.  Both sides are evaluated directly; the scale is the
+    largest intermediate magnitude (at least 1).
     """
     T = np.asarray(T, dtype=float)
     taus = [np.asarray(v, dtype=float) for v in tau_list]
@@ -444,8 +442,6 @@ def verify_abel(T: np.ndarray, tau_list: Sequence[np.ndarray],
     for mm in range(1, n):
         rhs -= (powers[mm - 1] - powers[mm]) @ partial[n - 1 - mm]
     residual = float(np.abs(lhs - rhs).max())
-    if not return_scale:
-        return residual
     scale = max(
         float(np.abs(lhs).max()),
         max(float(np.abs(p).max()) for p in powers),

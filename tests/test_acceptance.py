@@ -281,14 +281,13 @@ def test_c07_identity_suite():
         n = int(rng.integers(1, 31))
         R_list = [rng.uniform(-1.0, 1.0, (d, d)) for _ in range(n)]
         P_list = [rng.uniform(-1.0, 1.0, (d, d)) for _ in range(n)]
-        residual, scale = verify_telescoping(R_list, P_list, return_scale=True)
+        residual, scale = verify_telescoping(R_list, P_list)
         assert residual <= 1e-12 * scale
-        residual, scale = verify_telescoping([R_list[0]] * n, [P_list[0]] * n,
-                                             return_scale=True)
+        residual, scale = verify_telescoping([R_list[0]] * n, [P_list[0]] * n)
         assert residual <= 1e-12 * scale
         T = rng.uniform(-1.0, 1.0, (d, d))
         taus = [rng.uniform(-1.0, 1.0, d) for _ in range(n)]
-        residual, scale = verify_abel(T, taus, return_scale=True)
+        residual, scale = verify_abel(T, taus)
         assert residual <= 1e-12 * scale
     for _ in range(20):
         m = int(rng.integers(1, 11))
@@ -299,11 +298,10 @@ def test_c07_identity_suite():
                                      history=lambda t: 0.0)
         props = build_discrete_propagators(problem, h)
         n = int(rng.integers(1, 101))
-        residual, scale = verify_telescoping([props.R] * n, [props.P] * n,
-                                             return_scale=True)
+        residual, scale = verify_telescoping([props.R] * n, [props.P] * n)
         assert residual <= 1e-12 * scale
         taus = [rng.uniform(-1.0, 1.0, m + 1) for _ in range(min(n, 30))]
-        residual, scale = verify_abel(props.P, taus, return_scale=True)
+        residual, scale = verify_abel(props.P, taus)
         assert residual <= 1e-12 * scale
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0

@@ -28,21 +28,21 @@ def _cells(line):
 
 class TestParsing:
     def test_scalar_defaults(self):
-        cmd = parse(["scalar"])
-        assert cmd.subcommand == "scalar"
-        assert cmd.params.a == -0.15
-        assert cmd.params.b == -6.0
-        assert cmd.params.tau == -0.257
-        assert cmd.params.h == 0.001
-        assert cmd.params.T == 40.0
-        assert cmd.params.history == "poly10"
-        assert cmd.fmt == "csv"
-        assert cmd.out is None
+        ns = parse(["scalar"])
+        assert ns.subcommand == "scalar"
+        assert ns.a == -0.15
+        assert ns.b == -6.0
+        assert ns.tau == -0.257
+        assert ns.h == 0.001
+        assert ns.T == 40.0
+        assert ns.history == "poly10"
+        assert ns.format == "csv"
+        assert ns.out is None
 
     def test_report_subcommands_default_to_json(self):
         for args in (["stability"], ["convergence"], ["growth-fit"],
                      ["timing"]):
-            assert parse(args).fmt == "json"
+            assert parse(args).format == "json"
 
     @pytest.mark.parametrize("argv", [
         [],
@@ -289,6 +289,14 @@ class TestGrowthFitOutput:
         main(self.GEOMETRIC + ["--char-root"])
         data = json.loads(capsys.readouterr().out)
         assert data["omega_ref"] == pytest.approx(-0.5, abs=1e-9)
+
+    def test_char_root_writes_nothing_to_stderr(self, capsys):
+        rc = main(["growth-fit", "--a", "-1", "--b", "-10", "--tau", "-2",
+                   "--T", "60", "--t-start", "20", "--char-root"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err == ""
+        assert json.loads(captured.out)["omega_ref"] == pytest.approx(0.764302267889)
 
     def test_char_root_needs_constant_coefficients(self, capsys):
         rc = main(self.GEOMETRIC + ["--char-root", "--a-mode", "linear"])

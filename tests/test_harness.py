@@ -1,9 +1,13 @@
 """Order studies, growth fits, root finding, profiles, and timing reports."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import lambertw
 
 from ddesplit.errors import FitError, ParameterError
 from ddesplit.harness import (
@@ -92,7 +96,8 @@ class TestConvergenceStudy:
         with pytest.raises(ParameterError):
             convergence_study(prob, ("ie", "lt"), [0.1, 0.07, 0.05], T=1.0)
 
-    @pytest.mark.parametrize("pair", [("ie", "rk4"), ("ie-fast", "lt")])
+    @pytest.mark.parametrize("pair", [("ie", "rk4"), ("ie-fast", "lt"),
+                                      ("ie-kernel-x", "lt")])
     def test_unknown_variant_rejected(self, pair):
         prob = ScalarDelayProblem(a=-1.0, b=0.0, tau=-0.5,
                                   history=lambda t: 1.0)
@@ -125,7 +130,57 @@ class TestGrowthFit:
         assert fit.omega == pytest.approx(1.0, abs=1e-10)
 
 
+def _other_branch_roots(a, b, tau):
+    """Roots a - W_k(z) / tau, z = -b tau e^{a tau}, on the branches k = ±1..±20."""
+    log_abs_z = math.log(abs(b)) + math.log(-tau) + a * tau
+    ks = [k for k in range(-20, 21) if k != 0]
+    if abs(log_abs_z) < 700.0:
+        z = math.copysign(math.exp(log_abs_z), b)
+        return [a - complex(lambertw(z, k)) / tau for k in ks]
+    # z overflows or underflows; then W_k solves w + log w = log z + 2 pi i k.
+    roots = []
+    for k in ks:
+        log_z = complex(log_abs_z, (math.pi if b < 0 else 0.0) + 2.0 * math.pi * k)
+        w = log_z - cmath.log(log_z)
+        for _ in range(20):
+            w -= (w + cmath.log(w) - log_z) * w / (w + 1.0)
+        roots.append(a - w / tau)
+    return roots
+
+
 class TestCharacteristicRoot:
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(st.floats(-5.0, 5.0), st.floats(-20.0, 20.0), st.floats(-10.0, -0.003))
+    @example(-1.0, -10.0, -2.0)
+    @example(-100.0, -6.0, -8.0)
+    @example(-1000.0, -6.0, -8.0)
+    @example(-0.5, 0.0, -1.0)
+    @example(0.0, 1.0, -1.0)
+    def test_principal_branch_root_is_rightmost(self, a, b, tau):
+        root = char_root_rightmost(a, b, tau)
+        assert root.imag >= 0.0
+        if b == 0.0:
+            assert root == a
+            return
+        term = b * cmath.exp(root * tau)
+        # Rounding reaches the residual magnified by its derivative in the
+        # root, 1 + w with w = (a - root) tau, and by the three terms of
+        # log|z| = log|b| + log(-tau) + a tau, which the root is formed from.
+        # A subnormal z carries an absolute error, which the root divides by tau.
+        magnify = (1.0 + abs((a - root) * tau) + abs(math.log(abs(b)))
+                   + abs(math.log(-tau)) + abs(a * tau))
+        scale = max(abs(root), abs(a), abs(term))
+        floor = np.finfo(float).smallest_subnormal * (1.0 - 1.0 / tau)
+        tol = 16.0 * (np.finfo(float).eps * magnify * scale + floor)
+        assert abs(root - a - term) <= tol
+        for other in _other_branch_roots(a, b, tau):
+            assert root.real >= other.real - 1e-12 * max(1.0, abs(other))
+
+    def test_overflowing_argument_keeps_the_box_search_root(self):
+        # |z| = |b tau| e^{a tau} = 48 e^{800} overflows a double.
+        root = char_root_rightmost(-100.0, -6.0, -8.0)
+        assert root == pytest.approx(-0.351237488073 + 0.392207097325j, abs=1e-9)
+
     def test_benchmark_root(self):
         root = char_root_rightmost(-0.15, -6.0, -8.0)
         assert root == pytest.approx(0.29892576384841385 + 0.3160265886485651j,
@@ -147,6 +202,13 @@ class TestCharacteristicRoot:
     def test_positive_delay_rejected(self):
         with pytest.raises(ParameterError):
             char_root_rightmost(-0.15, -6.0, 0.5)
+
+    @pytest.mark.parametrize("a, b, tau", [(math.nan, -6.0, -8.0),
+                                           (-0.15, math.inf, -8.0),
+                                           (-0.15, -6.0, math.nan)])
+    def test_non_finite_input_rejected(self, a, b, tau):
+        with pytest.raises(ParameterError, match="must be finite"):
+            char_root_rightmost(a, b, tau)
 
 
 class TestErrorProfile:

@@ -505,20 +505,19 @@ class TestTelescoping:
         rng = np.random.default_rng(11)
         R = rng.standard_normal((4, 4))
         P = rng.standard_normal((4, 4))
-        assert verify_telescoping([R], [P]) == 0.0
+        assert verify_telescoping([R], [P])[0] == 0.0
 
     def test_random_factors(self):
         rng = np.random.default_rng(12)
         # Contractive scaling keeps 20-fold products at order one.
         R_list = [rng.standard_normal((5, 5)) * 0.3 for _ in range(20)]
         P_list = [rng.standard_normal((5, 5)) * 0.3 for _ in range(20)]
-        residual, scale = verify_telescoping(R_list, P_list, return_scale=True)
+        residual, scale = verify_telescoping(R_list, P_list)
         assert residual <= 1e-12 * scale
 
     def test_propagator_powers(self):
         props = build_discrete_propagators(_problem(tau=-0.003), h=0.001)
-        residual, scale = verify_telescoping([props.R] * 50, [props.P] * 50,
-                                             return_scale=True)
+        residual, scale = verify_telescoping([props.R] * 50, [props.P] * 50)
         assert residual <= 1e-12 * scale
 
     def test_time_ordered_distinct_factors(self):
@@ -529,7 +528,7 @@ class TestTelescoping:
             op = CompanionOperator(m=3, alpha=coeffs.alpha, beta=coeffs.beta)
             R_list.append(op.dense() + 0.01 * rng.standard_normal((4, 4)))
             P_list.append(op.dense())
-        residual, scale = verify_telescoping(R_list, P_list, return_scale=True)
+        residual, scale = verify_telescoping(R_list, P_list)
         assert residual <= 1e-12 * scale
 
     def test_empty_or_mismatched_factor_lists_rejected(self):
@@ -546,17 +545,17 @@ class TestAbelSummation:
     def test_identity_operator_is_exact(self):
         rng = np.random.default_rng(21)
         taus = [rng.standard_normal(3) for _ in range(6)]
-        assert verify_abel(np.eye(3), taus) == 0.0
+        assert verify_abel(np.eye(3), taus)[0] == 0.0
 
     def test_nilpotent_operator_is_exact(self):
         taus = [np.array([1.0, -2.0]), np.array([0.5, 4.0])]
-        assert verify_abel(np.zeros((2, 2)), taus) == 0.0
+        assert verify_abel(np.zeros((2, 2)), taus)[0] == 0.0
 
     def test_random_operator(self):
         rng = np.random.default_rng(22)
         T = rng.standard_normal((4, 4)) * 0.4
         taus = [rng.standard_normal(4) for _ in range(15)]
-        residual, scale = verify_abel(T, taus, return_scale=True)
+        residual, scale = verify_abel(T, taus)
         assert residual <= 1e-12 * scale
 
     def test_partial_sums_control_the_weighted_sum(self):
@@ -574,7 +573,7 @@ class TestAbelSummation:
             lhs = sum(np.linalg.matrix_power(T, n - 1 - k) @ taus[k]
                       for k in range(n))
             assert np.abs(lhs).max() <= 2.0 * max_partial + 1e-12
-            residual, scale = verify_abel(T, taus, return_scale=True)
+            residual, scale = verify_abel(T, taus)
             assert residual <= 1e-12 * scale
 
     def test_dimension_mismatch_rejected(self):
