@@ -68,10 +68,20 @@ def _checked(convert, ok, what: str):
     return check
 
 
+_finite = _checked(float, math.isfinite, "finite")
 _negative = _checked(float, lambda v: v < 0, "negative")
 _positive = _checked(float, lambda v: v > 0, "positive")
 _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
 _non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+
+
+def _float_list(text: str) -> list:
+    """Argparse type: comma-separated numbers, with no empty item."""
+    try:
+        return [float(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated numbers, got {text!r}") from None
 
 
 def _add_output_flags(p: argparse.ArgumentParser, formats=("csv", "json"),
@@ -117,7 +127,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["auto", "nonauto"], default="auto",
                    help="constant or sinusoidally modulated reaction coefficient")
     p.add_argument("--preset", choices=["paper-auto-pde", "paper-nonauto-pde"],
-                   default=None, help="pin the bundled parameter set")
+                   default=None,
+                   help="set lambda1 to 0 (auto) or 0.2 (nonauto) unless --lambda1 "
+                        "is given; explicit flags override the benchmark defaults")
     p.add_argument("--kappa", type=_positive, default=PDE_DEFAULTS["kappa"])
     p.add_argument("--lambda0", type=float, default=PDE_DEFAULTS["lambda0"])
     p.add_argument("--lambda1", type=float, default=None,
@@ -151,8 +163,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=_negative, default=-8.0)
     p.add_argument("--omega-max", type=_positive, default=4.0, dest="omega_max")
     p.add_argument("--n-nodes", type=_positive_int, default=2001, dest="n_nodes")
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, default=10.0)
+    p.add_argument("--t0", type=_finite, default=0.0)
+    p.add_argument("--t1", type=_finite, default=10.0)
     p.add_argument("--num", type=_positive_int, default=101,
                    help="number of evaluation times")
     _add_output_flags(p)
@@ -163,8 +175,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, default=-6.0)
     p.add_argument("--tau", type=_negative, default=-8.0)
     p.add_argument("--T", type=_positive, default=20.0)
-    p.add_argument("--h-list", default="0.1,0.05,0.025,0.0125", dest="h_list",
-                   help="comma-separated steps, coarsest first")
+    p.add_argument("--h-list", type=_float_list, default="0.1,0.05,0.025,0.0125",
+                   dest="h_list", help="comma-separated steps, coarsest first")
     p.add_argument("--pair", default="ie,lt",
                    help="two variants like ie,lt or ie-grid,ie-kernel")
     _add_history_flags(p)
@@ -178,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=_negative, default=-8.0)
     p.add_argument("--h", type=_positive, default=0.01)
     p.add_argument("--T", type=_positive, default=200.0)
-    p.add_argument("--t-start", type=float, default=50.0, dest="t_start")
+    p.add_argument("--t-start", type=_finite, default=50.0, dest="t_start")
     p.add_argument("--char-root", action="store_true", dest="char_root",
                    help="cross-check against the rightmost characteristic root")
     _add_history_flags(p)
@@ -353,11 +365,10 @@ def _cmd_oracle(ns: argparse.Namespace) -> int:
 
 
 def _cmd_convergence(ns: argparse.Namespace) -> int:
-    h_list = [float(tok) for tok in ns.h_list.split(",") if tok]
     pair = tuple(tok.strip() for tok in ns.pair.split(","))
     if len(pair) != 2:
         raise ParameterError(f"--pair needs exactly two variants, got {ns.pair!r}")
-    report = convergence_study(_scalar_problem(ns), pair, h_list, ns.T)
+    report = convergence_study(_scalar_problem(ns), pair, ns.h_list, ns.T)
     _write_json(report.to_json(), ns.out)
     return 0
 

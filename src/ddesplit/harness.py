@@ -16,6 +16,7 @@ from typing import Dict, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import FitError, ParameterError, require_finite
+from .history import SNAP_RTOL
 from .pde import PdeProblem, run_pde
 from .scalar import RunResult, ScalarDelayProblem, SchemeConfig, run
 
@@ -90,6 +91,8 @@ def convergence_study(problem: ScalarDelayProblem,
     hs = np.asarray(list(h_list), dtype=float)
     if hs.size < 3:
         raise ParameterError("need at least 3 step sizes for a slope")
+    if not np.all(np.isfinite(hs) & (hs > 0)):
+        raise ParameterError(f"step sizes must be finite and positive, got {hs.tolist()}")
     if np.any(np.diff(hs) >= 0):
         raise ParameterError("step sizes must be strictly decreasing")
     h0 = hs[0]
@@ -97,7 +100,7 @@ def convergence_study(problem: ScalarDelayProblem,
     for i, h in enumerate(hs):
         stride_f = h0 / h
         stride = int(round(stride_f))
-        if abs(stride_f - stride) > 1e-9 * stride_f:
+        if abs(stride_f - stride) > SNAP_RTOL * stride_f:
             raise ParameterError(f"h={h} does not subdivide the coarsest h={h0}")
         runs = []
         for tag in scheme_pair:
@@ -122,6 +125,7 @@ def exp_growth_fit(series: RunResult, t_start: float) -> GrowthFit:
     Samples with |u| <= 1e-300 are dropped to keep the logarithm finite;
     fewer than 3 usable samples is an error rather than a junk fit.
     """
+    require_finite(t_start=t_start)
     t = series.times
     u = np.abs(series.values)
     mask = (t >= t_start) & (u > 1e-300)

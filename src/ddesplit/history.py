@@ -94,32 +94,20 @@ class RingBuffer(collections.deque):
     push = collections.deque.append
 
     @property
-    def capacity(self) -> int:
-        return self.maxlen
-
-    @property
     def oldest(self):
         return self[0]
 
 
-def init_from_history(history: Callable[[float], object], grid: DelayGrid,
-                      capacity: int) -> RingBuffer:
+def init_from_history(history: Callable[[float], object],
+                      grid: DelayGrid) -> RingBuffer:
     """Fill a buffer with samples ``history(tau + j*h)``, oldest first.
 
-    Sample points must stay inside ``[tau, 0]``; a domain error is raised
-    otherwise (the history mapping is only defined there).
+    The buffer holds what a delayed read needs: m entries for an integer lag
+    and m + 1 for a fractional one.  Every sample time lies in [tau, 0): the
+    value at 0 is the initial state, which the run loop pushes itself.
     """
-    # Absolute slack for endpoint rounding only.
-    tol = 1e-12 * max(1.0, -grid.tau)
-    samples = []
-    for j in range(capacity):
-        t = grid.tau + j * grid.h
-        if t < grid.tau - tol or t > tol:
-            raise ParameterError(
-                f"history sample point {t} outside [{grid.tau}, 0]"
-            )
-        samples.append(history(min(t, 0.0)))
-    return RingBuffer(samples)
+    size = grid.m if grid.is_integer_lag else grid.m + 1
+    return RingBuffer([history(grid.tau + j * grid.h) for j in range(size)])
 
 
 def delayed_value(buffer: RingBuffer, grid: DelayGrid):
@@ -128,15 +116,15 @@ def delayed_value(buffer: RingBuffer, grid: DelayGrid):
     With ``delta == 0`` this is the oldest entry.  Otherwise the two oldest
     entries bracket the lag and the linear interpolant
     ``(delta/h)*older + (1 - delta/h)*newer`` is returned, which requires
-    capacity at least ``m + 1``.
+    at least ``m + 1`` entries.
     """
     if grid.delta == 0.0:
         # ``buffer.oldest`` without the property call; this runs once per step.
         return buffer[0]
-    if buffer.capacity < grid.m + 1:
+    if buffer.maxlen < grid.m + 1:
         raise InsufficientHistoryError(
-            f"fractional delay needs capacity >= {grid.m + 1}, "
-            f"buffer has {buffer.capacity}"
+            f"fractional delay needs {grid.m + 1} buffer entries, "
+            f"buffer has {buffer.maxlen}"
         )
     w = grid.delta / grid.h
     return w * buffer[0] + (1.0 - w) * buffer[1]

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .errors import (
     SingularSystemError,
     require_finite,
 )
-from .history import SNAP_RTOL, DelayGrid, RingBuffer, init_from_history
+from .history import DelayGrid, RingBuffer, init_from_history
 from .scalar import EPS_DEN, SchemeConfig
 
 # ``scipy.linalg.lapack``, bound by ``_load_lapack`` at the first
@@ -112,8 +112,24 @@ class Tridiag:
             raise ParameterError("off-diagonal lengths must be n - 1")
 
     def factorize(self) -> "Tridiag":
-        """Cache the LU factorization; subsequent solves only substitute."""
-        self._factor = _gttrf(self.sub, self.diag, self.sup)
+        """Cache the LAPACK ``dgttrf`` LU factors; solves then only substitute.
+
+        The wrapper rejects n < 3, so a smaller system is padded with an
+        uncoupled identity block; its leading factors are unchanged by that.
+        Every factor comes from here, so ``dgttrs`` always finds ``lapack``
+        bound.
+        """
+        _load_lapack()
+        sub, diag, sup = self.sub, self.diag, self.sup
+        pad = 3 - diag.size
+        if pad > 0:
+            zeros = np.zeros(pad)
+            sub, sup = np.concatenate((sub, zeros)), np.concatenate((sup, zeros))
+            diag = np.concatenate((diag, np.ones(pad)))
+        dl, d, du, du2, ipiv, info = lapack.dgttrf(sub, diag, sup)
+        if info != 0:
+            raise SingularSystemError(f"zero pivot during factorization (info={info})")
+        self._factor = dl, d, du, du2, ipiv
         return self
 
 
@@ -122,25 +138,6 @@ def _load_lapack() -> None:
     global lapack
     if lapack is None:
         from scipy.linalg import lapack
-
-
-def _gttrf(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> tuple:
-    """LAPACK ``dgttrf`` factors of the tridiagonal matrix, for every n >= 1.
-
-    The wrapper rejects n < 3, so a smaller system is padded with an
-    uncoupled identity block; its leading factors are unchanged by that.
-    Every factor comes from here, so ``dgttrs`` always finds ``lapack`` bound.
-    """
-    _load_lapack()
-    pad = 3 - diag.size
-    if pad > 0:
-        zeros = np.zeros(pad)
-        sub, sup = np.concatenate((sub, zeros)), np.concatenate((sup, zeros))
-        diag = np.concatenate((diag, np.ones(pad)))
-    dl, d, du, du2, ipiv, info = lapack.dgttrf(sub, diag, sup)
-    if info != 0:
-        raise SingularSystemError(f"zero pivot during factorization (info={info})")
-    return dl, d, du, du2, ipiv
 
 
 def assemble_system(problem: PdeProblem, h: float, t: float,
@@ -160,20 +157,20 @@ def assemble_system(problem: PdeProblem, h: float, t: float,
 
 
 def thomas_solve(sys: Tridiag, rhs: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system for one right-hand side by ``dgttrs``.
+    """Solve the factored tridiagonal system for one right-hand side by ``dgttrs``.
 
-    Uses the cached factorization when present (substitution cost only);
-    otherwise factors the system by the same pivoting route without storing
-    the factor on ``sys``.
+    ``sys`` must carry the factors of ``Tridiag.factorize``, so every
+    factorization is one call of that method.
     """
+    if sys._factor is None:
+        raise ParameterError("thomas_solve needs a system factored by Tridiag.factorize")
     rhs = np.asarray(rhs, dtype=float)
     n = sys.diag.size
     if rhs.shape != (n,):
         raise ParameterError("right-hand side length mismatch")
-    factor = sys._factor if sys._factor is not None else _gttrf(sys.sub, sys.diag, sys.sup)
     if n < 3:
         rhs = np.concatenate((rhs, np.zeros(3 - n)))
-    x, info = lapack.dgttrs(*factor, rhs)
+    x, info = lapack.dgttrs(*sys._factor, rhs)
     if info != 0:
         raise SingularSystemError(f"substitution failed (info={info})")
     return x[:n]
@@ -225,42 +222,18 @@ def lt_pde_step(u_n: np.ndarray, buffer: RingBuffer, t_n: float,
     return (u_star + h * problem.b * u_delay) / den
 
 
-def _snapshot_steps(times: Sequence[float], h: float, T: float) -> Dict[int, float]:
-    """Step index of each requested snapshot time, keyed to the time as given.
-
-    A time outside [0, T], more than ``SNAP_RTOL`` (relative) away from a
-    multiple of ``h``, or on the same step as another requested time raises
-    ``ParameterError`` instead of being dropped or moved to a neighbouring
-    step.
-    """
-    steps: Dict[int, float] = {}
-    for t in map(float, times):
-        if not 0.0 <= t <= T:
-            raise ParameterError(f"snapshot time {t} outside [0, {T}]")
-        ratio = t / h
-        k = round(ratio)
-        if abs(ratio - k) > SNAP_RTOL * max(1.0, ratio):
-            raise ParameterError(f"snapshot time {t} is not on the step grid h = {h}")
-        if k in steps:
-            raise ParameterError(
-                f"snapshot times {steps[k]!r} and {t!r} fall on the same step {k}")
-        steps[k] = t
-    return steps
-
-
 @dataclass
 class PdeRunResult:
     times: np.ndarray
     center: np.ndarray
     l2: np.ndarray
     scheme: str
+    final: np.ndarray
     wall_clock: float = 0.0
-    snapshots: Dict[float, np.ndarray] = field(default_factory=dict)
 
 
-def run_pde(problem: PdeProblem, config: SchemeConfig,
-            snapshot_times: Sequence[float] = ()) -> PdeRunResult:
-    """Advance the field to T, recording center and L2 traces.
+def run_pde(problem: PdeProblem, config: SchemeConfig) -> PdeRunResult:
+    """Advance the field to T, recording center and L2 traces and the field at T.
 
     The center value u(t, L/2) is linearly interpolated between the two
     bracketing grid points (with an even interior count the midpoint falls
@@ -273,12 +246,11 @@ def run_pde(problem: PdeProblem, config: SchemeConfig,
         raise ParameterError("field runs require the delay to be an integer "
                              "multiple of the step")
     h = config.h
-    snap_idx = _snapshot_steps(snapshot_times, h, config.T)
     xg = problem.xgrid
     _load_lapack()  # a first-use import must not count as run time
     start = time.perf_counter()
     buffer = init_from_history(
-        lambda t: np.asarray(problem.history(t, xg), dtype=float), grid, grid.m)
+        lambda t: np.asarray(problem.history(t, xg), dtype=float), grid)
     u = np.asarray(problem.history(0.0, xg), dtype=float)
 
     # Center interpolation weights are fixed by the grid layout.  The trace
@@ -298,7 +270,6 @@ def run_pde(problem: PdeProblem, config: SchemeConfig,
     n_steps = config.n_steps
     center = np.empty(n_steps + 1)
     l2 = np.empty(n_steps + 1)
-    snapshots: Dict[float, np.ndarray] = {}
 
     # ie caches the full system when it is autonomous, lt the diffusion part.
     level = config.level
@@ -316,13 +287,10 @@ def run_pde(problem: PdeProblem, config: SchemeConfig,
             raise DivergenceError(f"non-finite field at step {n}", step=n)
         center[n] = center_of(u)
         l2[n] = sqrt_dx * math.sqrt(sq)
-        if n in snap_idx:
-            snapshots[snap_idx[n]] = u.copy()
     wall = time.perf_counter() - start
     times = h * np.arange(n_steps + 1)
     return PdeRunResult(times=times, center=center, l2=l2,
-                        scheme=config.scheme, wall_clock=wall,
-                        snapshots=snapshots)
+                        scheme=config.scheme, final=u, wall_clock=wall)
 
 
 def oscillating_history(t: float, x: np.ndarray) -> np.ndarray:

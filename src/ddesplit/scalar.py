@@ -185,8 +185,7 @@ def _diverged(step: int) -> DivergenceError:
 
 def _run_grid(problem: ScalarDelayProblem, config: SchemeConfig) -> np.ndarray:
     grid = DelayGrid(config.h, problem.tau)
-    capacity = grid.m if grid.is_integer_lag else grid.m + 1
-    buffer = init_from_history(problem.history, grid, capacity)
+    buffer = init_from_history(problem.history, grid)
     h, a, b = config.h, problem.a, problem.b
     linear = problem.a_mode == "linear"
     push, isfinite = buffer.push, math.isfinite

@@ -3,6 +3,8 @@
 import json
 import math
 import re
+import shlex
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -57,6 +59,12 @@ class TestParsing:
         ["stability", "--format", "csv"],
         ["stability", "--profile-n", "-5"],
         ["stability", "--profile-stride", "-7"],
+        ["convergence", "--h-list", "0.1,abc"],
+        ["convergence", "--h-list", "0.1,,0.05,0.025"],
+        ["convergence", "--h-list", ""],
+        ["oracle", "--t0", "nan"],
+        ["oracle", "--t1", "inf"],
+        ["growth-fit", "--t-start", "nan"],
     ])
     def test_usage_errors_exit_with_code_two(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -77,6 +85,16 @@ class TestParsing:
             ["timing", "--target", "pde-nonauto"],
         ]
         for argv in manifest:
+            assert parse(argv).subcommand == argv[0]
+
+    def test_readme_command_lines_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Command line", 1)[1]
+        block = section.split("```", 2)[1]
+        lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+        invocations = [argv[1:] for argv in lines if argv[:1] == ["ddesplit"]]
+        assert len(invocations) == 7
+        for argv in invocations:
             assert parse(argv).subcommand == argv[0]
 
 
@@ -271,6 +289,11 @@ class TestConvergenceOutput:
         assert data["degenerate"] is False
         assert 0.5 <= data["slope"] <= 1.5
         assert len(data["h"]) == len(data["error"]) == 3
+
+    def test_non_finite_step_is_a_runtime_error(self, capsys):
+        rc = main(["convergence", "--h-list", "0.1,0.05,nan"])
+        assert rc == 1
+        assert "finite and positive" in capsys.readouterr().err
 
 
 class TestGrowthFitOutput:

@@ -90,6 +90,14 @@ class TestConvergenceStudy:
         with pytest.raises(ParameterError):
             convergence_study(prob, ("ie", "lt"), [0.1, 0.1, 0.05], T=1.0)
 
+    @pytest.mark.parametrize("h_list", [[0.1, 0.05, math.nan], [math.inf, 0.1, 0.05],
+                                        [0.1, 0.05, 0.0], [0.1, 0.05, -0.025]])
+    def test_non_finite_or_non_positive_steps_rejected(self, h_list):
+        prob = ScalarDelayProblem(a=-1.0, b=0.0, tau=-0.5,
+                                  history=lambda t: 1.0)
+        with pytest.raises(ParameterError, match="finite and positive"):
+            convergence_study(prob, ("ie", "lt"), h_list, T=1.0)
+
     def test_non_subdividing_steps_rejected(self):
         prob = ScalarDelayProblem(a=-1.0, b=0.0, tau=-0.5,
                                   history=lambda t: 1.0)
@@ -120,6 +128,13 @@ class TestGrowthFit:
         series = RunResult(times=t, values=np.exp(t), scheme="synthetic")
         with pytest.raises(FitError):
             exp_growth_fit(series, t_start=9.95)
+
+    @pytest.mark.parametrize("t_start", [math.nan, math.inf, -math.inf])
+    def test_non_finite_window_start_rejected(self, t_start):
+        t = np.linspace(0.0, 10.0, 101)
+        series = RunResult(times=t, values=np.exp(t), scheme="synthetic")
+        with pytest.raises(ParameterError, match="t_start must be finite"):
+            exp_growth_fit(series, t_start=t_start)
 
     def test_zero_samples_are_dropped_not_logged(self):
         t = np.linspace(0.0, 1.0, 11)

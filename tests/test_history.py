@@ -130,24 +130,36 @@ class TestRingBuffer:
 class TestInitFromHistory:
     def test_constant_history_fills_all_slots(self):
         grid = DelayGrid(h=0.25, tau=-1.0)
-        buf = init_from_history(lambda t: 3.5, grid, capacity=4)
+        buf = init_from_history(lambda t: 3.5, grid)
         assert list(buf) == [3.5] * 4
 
     def test_oldest_slot_samples_the_left_endpoint(self):
         grid = DelayGrid(h=0.25, tau=-1.0)
-        buf = init_from_history(lambda t: t, grid, capacity=4)
+        buf = init_from_history(lambda t: t, grid)
         assert buf.oldest == -1.0
         assert list(buf) == pytest.approx([-1.0, -0.75, -0.5, -0.25])
 
     def test_polynomial_history_newest_slot_is_its_constant_term(self):
+        # The run loop pushes u_0 = history(0) itself, so the newest slot of
+        # an m = 8 grid holds the sample at t = -h.
         grid = DelayGrid(h=1.0, tau=-8.0)
-        buf = init_from_history(poly_history, grid, capacity=9)
-        assert buf[8] == pytest.approx(0.14815, abs=1e-12)
+        buf = init_from_history(poly_history, grid)
+        assert len(buf) == 8
+        assert buf[7] == poly_history(-1.0)
 
-    def test_sample_beyond_zero_rejected(self):
-        grid = DelayGrid(h=0.25, tau=-1.0)
-        with pytest.raises(ParameterError):
-            init_from_history(lambda t: t, grid, capacity=6)
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(st.floats(1e-4, 1.0), st.integers(1, 400),
+           st.sampled_from([0.0, 1e-9, 2e-9, 1e-7, 0.5, 0.999, 1 - 2e-9, 1 - 1e-9]))
+    def test_buffer_holds_what_the_delayed_read_needs(self, h, m, offset):
+        # tau = -(m + offset) h: an integer lag, a fractional one, or a lag
+        # near either side of a grid point, snapped or not.
+        grid = DelayGrid(h, -(m + offset) * h)
+        seen = []
+        buf = init_from_history(lambda t: seen.append(t) or 2.0 * t + 1.0, grid)
+        assert len(buf) == (grid.m if grid.is_integer_lag else grid.m + 1)
+        assert max(seen) < 0.0
+        assert seen == [grid.tau + j * grid.h for j in range(len(buf))]
+        assert list(buf) == [2.0 * t + 1.0 for t in seen]
 
 
 class TestDelayedValue:

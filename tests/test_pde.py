@@ -116,30 +116,24 @@ class TestAssembleSystem:
 
 class TestThomasSolve:
     def test_identity_returns_the_rhs(self):
-        sys = Tridiag(sub=np.zeros(3), diag=np.ones(4), sup=np.zeros(3))
+        sys = Tridiag(sub=np.zeros(3), diag=np.ones(4), sup=np.zeros(3)).factorize()
         rhs = np.array([1.0, -2.0, 3.0, 0.5])
         assert np.array_equal(thomas_solve(sys, rhs), rhs)
 
     def test_two_by_two_hand_solve(self):
         sys = Tridiag(sub=np.array([1.0]), diag=np.array([2.0, 2.0]),
-                      sup=np.array([1.0]))
-        x = thomas_solve(sys, np.array([3.0, 3.0]))
-        assert x == pytest.approx([1.0, 1.0], rel=1e-14)
-        sys.factorize()
+                      sup=np.array([1.0])).factorize()
         assert thomas_solve(sys, np.array([3.0, 3.0])) == pytest.approx(
             [1.0, 1.0], rel=1e-14)
 
-    def test_factored_and_unfactored_agree(self):
-        rng = np.random.default_rng(31)
-        n = 12
-        sys_a = Tridiag(sub=rng.uniform(-0.3, 0.3, n - 1),
-                        diag=rng.uniform(1.5, 2.5, n),
-                        sup=rng.uniform(-0.3, 0.3, n - 1))
-        sys_b = Tridiag(sub=sys_a.sub.copy(), diag=sys_a.diag.copy(),
-                        sup=sys_a.sup.copy()).factorize()
-        rhs = rng.standard_normal(n)
-        assert thomas_solve(sys_a, rhs) == pytest.approx(
-            thomas_solve(sys_b, rhs), rel=1e-14)
+    def test_unfactored_system_rejected(self):
+        # Every factorization is a call of Tridiag.factorize, so a solve
+        # never factors on the side.
+        sys = Tridiag(sub=np.array([1.0]), diag=np.array([2.0, 2.0]),
+                      sup=np.array([1.0]))
+        with pytest.raises(ParameterError, match="Tridiag.factorize"):
+            thomas_solve(sys, np.array([3.0, 3.0]))
+        assert sys._factor is None
 
     def test_matches_the_dense_solver(self):
         rng = np.random.default_rng(32)
@@ -147,7 +141,7 @@ class TestThomasSolve:
         sub = rng.uniform(-0.4, 0.4, n - 1)
         sup = rng.uniform(-0.4, 0.4, n - 1)
         diag = rng.uniform(2.0, 3.0, n)
-        sys = Tridiag(sub=sub, diag=diag, sup=sup)
+        sys = Tridiag(sub=sub, diag=diag, sup=sup).factorize()
         dense = np.diag(diag)
         dense[np.arange(1, n), np.arange(n - 1)] = sub
         dense[np.arange(n - 1), np.arange(1, n)] = sup
@@ -156,20 +150,21 @@ class TestThomasSolve:
             np.linalg.solve(dense, rhs), rel=1e-12)
 
     def test_singular_elimination_reports_the_pivot(self):
-        # Rank-one 2x2: elimination zeroes the last pivot.
+        # Rank-one 2x2: elimination zeroes the last pivot, U(2, 2).
         sys = Tridiag(sub=np.array([1.0]), diag=np.array([1.0, 1.0]),
                       sup=np.array([1.0]))
-        with pytest.raises(SingularSystemError):
-            thomas_solve(sys, np.array([1.0, 1.0]))
+        with pytest.raises(SingularSystemError, match=r"info=2\)"):
+            sys.factorize()
 
     def test_singular_factorization_rejected(self):
         sys = Tridiag(sub=np.array([1.0]), diag=np.array([1.0, 1.0]),
                       sup=np.array([1.0]))
         with pytest.raises(SingularSystemError):
             sys.factorize()
+        assert sys._factor is None
 
     def test_rhs_length_mismatch_rejected(self):
-        sys = Tridiag(sub=np.zeros(2), diag=np.ones(3), sup=np.zeros(2))
+        sys = Tridiag(sub=np.zeros(2), diag=np.ones(3), sup=np.zeros(2)).factorize()
         with pytest.raises(ParameterError):
             thomas_solve(sys, np.ones(4))
 
@@ -179,7 +174,6 @@ class TestThomasSolve:
 
     def test_single_cell_paths(self):
         sys = Tridiag(sub=np.zeros(0), diag=np.array([2.0]), sup=np.zeros(0))
-        assert thomas_solve(sys, np.array([4.0])) == pytest.approx([2.0])
         sys.factorize()
         assert sys._factor is not None
         assert thomas_solve(sys, np.array([4.0])) == pytest.approx([2.0])
@@ -189,8 +183,6 @@ class TestThomasSolve:
         # the zero pivot.
         rhs = np.array([1.0, 2.0])
         sys = Tridiag([1.0], [0.0, 0.0], [1.0])
-        assert np.array_equal(thomas_solve(sys, rhs), [2.0, 1.0])
-        assert sys._factor is None
         assert np.array_equal(thomas_solve(sys.factorize(), rhs), [2.0, 1.0])
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -216,17 +208,13 @@ class TestThomasSolve:
         sys = Tridiag(sub, diag, sup)
         if singular:
             with pytest.raises(SingularSystemError):
-                thomas_solve(sys, rhs)
-            with pytest.raises(SingularSystemError):
                 sys.factorize()
             return
         dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
         cond = np.linalg.cond(dense)
         if not cond < 1e10:
             return
-        x = thomas_solve(sys, rhs)
-        assert sys._factor is None
-        assert np.array_equal(thomas_solve(sys.factorize(), rhs), x)
+        x = thomas_solve(sys.factorize(), rhs)
         ref = np.linalg.solve(dense, rhs)
         assert np.abs(x - ref).max() <= 1e-13 * cond * np.abs(ref).max()
 
@@ -234,8 +222,6 @@ class TestThomasSolve:
         sys = Tridiag(sub=np.zeros(0), diag=np.array([0.0]), sup=np.zeros(0))
         with pytest.raises(SingularSystemError):
             sys.factorize()
-        with pytest.raises(SingularSystemError):
-            thomas_solve(sys, np.array([1.0]))
 
 
 class TestFieldSteps:
@@ -310,7 +296,7 @@ class TestFieldSteps:
         grid = DelayGrid(h, prob.tau)
         xg = prob.xgrid
         samples = list(init_from_history(
-            lambda t: oscillating_history(t, xg), grid, grid.m))
+            lambda t: oscillating_history(t, xg), grid))
         buffer = RingBuffer(samples)
         u0 = oscillating_history(0.0, xg)
         stacked = np.array(samples)
@@ -350,34 +336,6 @@ class TestRunPde:
         res = run_pde(prob, SchemeConfig(h=0.1, T=0.2, scheme="lt"))
         assert res.l2[0] == pytest.approx(0.3 * math.sqrt(4 * 0.2), rel=1e-14)
 
-    def test_snapshots_returned_at_requested_times(self):
-        prob = PdeProblem(Nx=6, history=ramp_history, **BENCH_KW)
-        res = run_pde(prob, SchemeConfig(h=0.1, T=0.5, scheme="ie"),
-                      snapshot_times=[0.0, 0.3])
-        assert set(res.snapshots) == {0.0, 0.3}
-        assert np.array_equal(res.snapshots[0.0], prob.xgrid)
-
-    @pytest.mark.parametrize("bad", [2.0, -0.04, 0.33])
-    def test_snapshot_off_the_run_rejected(self, bad):
-        # Outside [0, T], or between grid points: neither is moved or dropped.
-        prob = PdeProblem(Nx=4, history=ramp_history, **BENCH_KW)
-        with pytest.raises(ParameterError, match="snapshot time"):
-            run_pde(prob, SchemeConfig(h=0.1, T=1.0, scheme="lt"),
-                    snapshot_times=[0.5, bad])
-
-    def test_two_snapshot_times_on_one_step_rejected(self):
-        prob = PdeProblem(Nx=4, history=ramp_history, **BENCH_KW)
-        with pytest.raises(ParameterError, match=r"0\.3 and 0\.30000000000000004"):
-            run_pde(prob, SchemeConfig(h=0.1, T=1.0, scheme="lt"),
-                    snapshot_times=[0.3, 0.1 + 0.2])
-
-    def test_snapshot_within_rounding_of_a_grid_point_accepted(self):
-        prob = PdeProblem(Nx=4, history=ramp_history, **BENCH_KW)
-        t = 0.1 + 0.2   # 0.30000000000000004
-        res = run_pde(prob, SchemeConfig(h=0.1, T=1.0, scheme="lt"),
-                      snapshot_times=[t, 1.0])
-        assert set(res.snapshots) == {t, 1.0}
-
     def test_singular_modulated_ie_system_raises_package_error(self):
         # lambda(0.5) = 2 makes 1 - h lambda vanish on the single node.
         prob = PdeProblem(kappa=0.0, lambda0=1.0, lambda1=1.0, T_lambda=2.0, b=0.0,
@@ -394,17 +352,16 @@ class TestRunPde:
                           tau=-0.6, Nx=2, history=ramp_history)
         sys = assemble_system(prob, h, 0.0, include_reaction=True)
         assert np.array_equal(sys.diag, [0.0, 0.0])
-        res = run_pde(prob, SchemeConfig(h=h, T=1.0, scheme="ie"),
-                      snapshot_times=[1.0])
+        res = run_pde(prob, SchemeConfig(h=h, T=1.0, scheme="ie"))
         dense = np.diag(sys.diag) + np.diag(sys.sub, -1) + np.diag(sys.sup, 1)
         grid = DelayGrid(h, prob.tau)
         xg = prob.xgrid
-        buffer = init_from_history(lambda t: ramp_history(t, xg), grid, grid.m)
+        buffer = init_from_history(lambda t: ramp_history(t, xg), grid)
         u = ramp_history(0.0, xg)
         for _ in range(10):
             buffer.push(u)
             u = np.linalg.solve(dense, u + h * prob.b * buffer.oldest)
-        assert res.snapshots[1.0] == pytest.approx(u, rel=1e-12)
+        assert res.final == pytest.approx(u, rel=1e-12)
 
     def test_fractional_lag_rejected(self):
         prob = PdeProblem(kappa=0.02, lambda0=-0.8, b=-0.8, tau=-0.257,
@@ -421,32 +378,48 @@ class TestRunPde:
         # A manual loop that re-factorizes every step must agree bit for bit.
         prob = PdeProblem(Nx=6, history=oscillating_history, **BENCH_KW)
         h, T = 0.05, 0.5
-        res = run_pde(prob, SchemeConfig(h=h, T=T, scheme="lt"),
-                      snapshot_times=[T])
+        res = run_pde(prob, SchemeConfig(h=h, T=T, scheme="lt"))
         grid = DelayGrid(h, prob.tau)
         xg = prob.xgrid
         buffer = init_from_history(
-            lambda t: oscillating_history(t, xg), grid, grid.m)
+            lambda t: oscillating_history(t, xg), grid)
         u = np.asarray(oscillating_history(0.0, xg))
         for n in range(round(T / h)):
             fresh = assemble_system(prob, h, 0.0,
                                     include_reaction=False).factorize()
             u = lt_pde_step(u, buffer, n * h, prob, h, fresh)
-        assert np.array_equal(u, res.snapshots[T])
+        assert np.array_equal(u, res.final)
 
     def test_implicit_cache_matches_per_step_assembly(self):
         prob = PdeProblem(Nx=6, history=oscillating_history, **BENCH_KW)
         h, T = 0.05, 0.5
-        res = run_pde(prob, SchemeConfig(h=h, T=T, scheme="ie"),
-                      snapshot_times=[T])
+        res = run_pde(prob, SchemeConfig(h=h, T=T, scheme="ie"))
         grid = DelayGrid(h, prob.tau)
         xg = prob.xgrid
         buffer = init_from_history(
-            lambda t: oscillating_history(t, xg), grid, grid.m)
+            lambda t: oscillating_history(t, xg), grid)
         u = np.asarray(oscillating_history(0.0, xg))
         for n in range(round(T / h)):
             u = ie_pde_step(u, buffer, (n + 1) * h, prob, h, cache=None)
-        assert np.array_equal(u, res.snapshots[T])
+        assert np.array_equal(u, res.final)
+
+    @pytest.mark.parametrize("scheme, lambda1, count", [
+        ("ie", 0.0, 1), ("lt", 0.0, 1), ("lt", 0.2, 1), ("ie", 0.2, 0)])
+    def test_factorizations_per_run(self, scheme, lambda1, count, monkeypatch):
+        # Both presets (lambda1 0 and 0.2) on a 100-step horizon.  The
+        # modulated ie step solves a dense system and factors nothing.
+        calls = []
+        factorize = Tridiag.factorize
+
+        def counted(sys):
+            calls.append(sys)
+            return factorize(sys)
+
+        monkeypatch.setattr(Tridiag, "factorize", counted)
+        prob = PdeProblem(Nx=300, history=oscillating_history, lambda1=lambda1,
+                          T_lambda=4.0, **BENCH_KW)
+        run_pde(prob, SchemeConfig(h=0.002, T=0.2, scheme=scheme))
+        assert len(calls) == count
 
     @pytest.mark.parametrize("scheme, level", [("ie", 1), ("lt", 0)])
     def test_modulated_run_steps_at_the_scheme_time_level(self, scheme, level):
@@ -454,11 +427,10 @@ class TestRunPde:
         prob = PdeProblem(Nx=6, history=oscillating_history, lambda1=0.2,
                           T_lambda=4.0, **BENCH_KW)
         h, T = 0.05, 0.5
-        res = run_pde(prob, SchemeConfig(h=h, T=T, scheme=scheme),
-                      snapshot_times=[T])
+        res = run_pde(prob, SchemeConfig(h=h, T=T, scheme=scheme))
         grid = DelayGrid(h, prob.tau)
         xg = prob.xgrid
-        buffer = init_from_history(lambda t: oscillating_history(t, xg), grid, grid.m)
+        buffer = init_from_history(lambda t: oscillating_history(t, xg), grid)
         diffusion = assemble_system(prob, h, 0.0, include_reaction=False).factorize()
         u = np.asarray(oscillating_history(0.0, xg))
         for n in range(round(T / h)):
@@ -466,7 +438,7 @@ class TestRunPde:
                 u = ie_pde_step(u, buffer, (n + level) * h, prob, h)
             else:
                 u = lt_pde_step(u, buffer, (n + level) * h, prob, h, diffusion)
-        assert np.array_equal(u, res.snapshots[T])
+        assert np.array_equal(u, res.final)
 
     def test_schemes_agree_closely_on_a_coarse_benchmark(self):
         prob = PdeProblem(Nx=20, history=oscillating_history, **BENCH_KW)
@@ -499,11 +471,10 @@ class TestRunPde:
         prob = PdeProblem(kappa=0.0, lambda0=-0.8, b=0.0, tau=-0.2, Nx=4,
                           history=lambda t, x: np.full_like(x, 1e160))
         with np.errstate(over="ignore"):
-            res = run_pde(prob, SchemeConfig(h=0.1, T=1.0, scheme=scheme),
-                          snapshot_times=[1.0])
+            res = run_pde(prob, SchemeConfig(h=0.1, T=1.0, scheme=scheme))
         assert np.all(np.isinf(res.l2))
         assert np.all(np.isfinite(res.center))
-        assert np.all(res.snapshots[1.0] > 1e159)
+        assert np.all(res.final > 1e159)
 
     @pytest.mark.parametrize("scheme", ["ie", "lt"])
     @pytest.mark.parametrize("kind, step", [("inf", 9), ("nan", 3)])
@@ -532,13 +503,13 @@ class TestRunPde:
         assert res.times == pytest.approx([0.0, 0.1, 0.2, 0.3])
 
 
-def _reference_trace(problem, h, T, scheme, snapshot_times):
-    """Center, L2 and snapshots from a hand loop of the step functions,
+def _reference_trace(problem, h, T, scheme):
+    """Center, L2 and the field at T from a hand loop of the step functions,
     recorded with ``np.linalg.norm`` and numpy-scalar interpolation."""
     grid = DelayGrid(h, problem.tau)
     xg = problem.xgrid
     buffer = init_from_history(
-        lambda t: np.asarray(problem.history(t, xg), dtype=float), grid, grid.m)
+        lambda t: np.asarray(problem.history(t, xg), dtype=float), grid)
     u = np.asarray(problem.history(0.0, xg), dtype=float)
     pos = problem.L / 2.0 / problem.dx - 1.0
     i_left = min(int(np.floor(pos)), problem.Nx - 2) if problem.Nx > 1 else 0
@@ -552,8 +523,6 @@ def _reference_trace(problem, h, T, scheme, snapshot_times):
     sqrt_dx = math.sqrt(problem.dx)
     center = [center_of(u)]
     l2 = [sqrt_dx * float(np.linalg.norm(u))]
-    snapshots = {0.0: u.copy()} if 0.0 in snapshot_times else {}
-    steps = {round(t / h): t for t in snapshot_times}
     cache = None
     if scheme == "lt" or problem.autonomous:
         cache = assemble_system(problem, h, 0.0,
@@ -566,9 +535,7 @@ def _reference_trace(problem, h, T, scheme, snapshot_times):
         assert np.isfinite(u).all()
         center.append(center_of(u))
         l2.append(sqrt_dx * float(np.linalg.norm(u)))
-        if n + 1 in steps:
-            snapshots[steps[n + 1]] = u.copy()
-    return np.array(center), np.array(l2), snapshots
+    return np.array(center), np.array(l2), u
 
 
 class TestTraceRecording:
@@ -581,15 +548,12 @@ class TestTraceRecording:
         # Odd Nx puts L/2 on a node, even Nx between two nodes.
         prob = PdeProblem(Nx=nx, history=oscillating_history, lambda1=lambda1,
                           T_lambda=4.0, **BENCH_KW)
-        h, T, snaps = 0.05, 2.0, [0.0, 1.0, 2.0]
-        res = run_pde(prob, SchemeConfig(h=h, T=T, scheme=scheme),
-                      snapshot_times=snaps)
-        center, l2, snapshots = _reference_trace(prob, h, T, scheme, snaps)
+        h, T = 0.05, 2.0
+        res = run_pde(prob, SchemeConfig(h=h, T=T, scheme=scheme))
+        center, l2, final = _reference_trace(prob, h, T, scheme)
         assert np.array_equal(res.center, center)
         assert np.array_equal(res.l2, l2)
-        assert set(res.snapshots) == set(snapshots)
-        for t in snaps:
-            assert np.array_equal(res.snapshots[t], snapshots[t])
+        assert np.array_equal(res.final, final)
 
 
 class TestOscillatingHistory:

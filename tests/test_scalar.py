@@ -276,8 +276,7 @@ class TestRunLoopsBits:
         h, T = 0.05, 20.0
         res = run(prob, SchemeConfig(h=h, T=T, scheme=scheme))
         grid = DelayGrid(h, tau)
-        buffer = init_from_history(prob.history, grid,
-                                   grid.m if grid.is_integer_lag else grid.m + 1)
+        buffer = init_from_history(prob.history, grid)
         u = prob.history(0.0)
         expected = [u]
         for n in range(round(T / h)):
