@@ -14,13 +14,17 @@ each at the time level ``SchemeConfig.level`` of its reaction coefficient.
   ring-buffer transport shift, then a pointwise algebraic reaction/delay
   update with the coefficient frozen at the old time level.
 
-Every tridiagonal system is factored by LAPACK ``dgttrf`` (partial
-pivoting) and solved by ``dgttrs``.
+The assembled systems are symmetric, and positive definite whenever
+1 - h lambda > 0.  ``Tridiag.factorize`` factors such a system as L D L^T
+(LAPACK ``dpttrf``, no pivoting) and ``thomas_solve`` substitutes with
+``dpttrs``; every other system (nonsymmetric, not positive definite, or
+non-finite) takes LU with partial pivoting (``dgttrf``/``dgttrs``).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -69,6 +73,8 @@ class PdeProblem:
             raise ParameterError(f"diffusion coefficient must be >= 0, got {self.kappa}")
         if self.tau >= 0:
             raise ParameterError(f"delay must be negative, got {self.tau}")
+        if isinstance(self.Nx, bool) or not isinstance(self.Nx, numbers.Integral):
+            raise ParameterError(f"interior point count must be an integer, got {self.Nx!r}")
         if self.Nx < 1:
             raise ParameterError(f"need at least one interior point, got {self.Nx}")
         if self.L <= 0:
@@ -96,7 +102,8 @@ class PdeProblem:
 
 @dataclass
 class Tridiag:
-    """Tridiagonal system with an optional cached LU factorization."""
+    """Tridiagonal system with optional cached factors: ``(d, e)`` of L D L^T,
+    or ``(dl, d, du, du2, ipiv)`` of pivoted LU."""
 
     sub: np.ndarray
     diag: np.ndarray
@@ -112,15 +119,25 @@ class Tridiag:
             raise ParameterError("off-diagonal lengths must be n - 1")
 
     def factorize(self) -> "Tridiag":
-        """Cache the LAPACK ``dgttrf`` LU factors; solves then only substitute.
+        """Cache LAPACK factors of the system; solves then only substitute.
 
-        The wrapper rejects n < 3, so a smaller system is padded with an
-        uncoupled identity block; its leading factors are unchanged by that.
-        Every factor comes from here, so ``dgttrs`` always finds ``lapack``
-        bound.
+        A symmetric system is first factored as L D L^T by ``dpttrf``.  Its
+        factors are kept when every pivot of D is positive and finite, that
+        is, when the matrix is positive definite in floating point
+        (``dpttrf`` itself lets a NaN pivot through).  Otherwise the system
+        takes LU with partial pivoting by ``dgttrf``, whose wrapper rejects
+        n < 3: a smaller system is padded with an uncoupled identity block,
+        which leaves its leading factors unchanged.  Every factor comes
+        from here, so ``thomas_solve`` always finds ``lapack`` bound.
         """
         _load_lapack()
         sub, diag, sup = self.sub, self.diag, self.sup
+        if np.array_equal(sub, sup):
+            # The dpttrf wrapper wants one off-diagonal entry even when n = 1.
+            d, e, info = lapack.dpttrf(diag, sub if diag.size > 1 else np.zeros(1))
+            if info == 0 and np.isfinite(d).all():
+                self._factor = d, e
+                return self
         pad = 3 - diag.size
         if pad > 0:
             zeros = np.zeros(pad)
@@ -157,20 +174,25 @@ def assemble_system(problem: PdeProblem, h: float, t: float,
 
 
 def thomas_solve(sys: Tridiag, rhs: np.ndarray) -> np.ndarray:
-    """Solve the factored tridiagonal system for one right-hand side by ``dgttrs``.
+    """Solve the factored tridiagonal system for one right-hand side.
 
     ``sys`` must carry the factors of ``Tridiag.factorize``, so every
-    factorization is one call of that method.
+    factorization is one call of that method.  L D L^T factors are
+    substituted by ``dpttrs``, pivoted LU factors by ``dgttrs``.
     """
-    if sys._factor is None:
+    factor = sys._factor
+    if factor is None:
         raise ParameterError("thomas_solve needs a system factored by Tridiag.factorize")
     rhs = np.asarray(rhs, dtype=float)
     n = sys.diag.size
     if rhs.shape != (n,):
         raise ParameterError("right-hand side length mismatch")
-    if n < 3:
-        rhs = np.concatenate((rhs, np.zeros(3 - n)))
-    x, info = lapack.dgttrs(*sys._factor, rhs)
+    if len(factor) == 2:
+        x, info = lapack.dpttrs(*factor, rhs)
+    else:
+        if n < 3:
+            rhs = np.concatenate((rhs, np.zeros(3 - n)))
+        x, info = lapack.dgttrs(*factor, rhs)
     if info != 0:
         raise SingularSystemError(f"substitution failed (info={info})")
     return x[:n]
@@ -249,9 +271,17 @@ def run_pde(problem: PdeProblem, config: SchemeConfig) -> PdeRunResult:
     xg = problem.xgrid
     _load_lapack()  # a first-use import must not count as run time
     start = time.perf_counter()
-    buffer = init_from_history(
-        lambda t: np.asarray(problem.history(t, xg), dtype=float), grid)
-    u = np.asarray(problem.history(0.0, xg), dtype=float)
+
+    def field_at(t: float) -> np.ndarray:
+        # Checked once per sample here, so the steps never see a wrong shape.
+        u = np.asarray(problem.history(t, xg), dtype=float)
+        if u.shape != xg.shape:
+            raise ParameterError(f"history at t = {t} has shape {u.shape}, "
+                                 f"expected {xg.shape} (one value per interior point)")
+        return u
+
+    buffer = init_from_history(field_at, grid)
+    u = field_at(0.0)
 
     # Center interpolation weights are fixed by the grid layout.  The trace
     # is kept in Python floats: the same IEEE operations as on numpy scalars.

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddesplit.errors import (
@@ -37,6 +37,48 @@ def ramp_history(t, x):
     return np.asarray(x, dtype=float)
 
 
+def _drawn_system(n, seed, small, singular, symmetric):
+    """A random tridiagonal system (sub, diag, sup, expected error pattern).
+
+    Off-diagonals lie in [-2, 2].  A symmetric draw (sup = sub) has diagonal
+    |sub| row sums plus a margin in [-1, 2], which gives positive definite
+    and indefinite systems in about equal shares.  With ``small`` set, a
+    random half of the diagonal is that value, so elimination needs row
+    swaps.  ``singular`` zeroes row and column j.
+    """
+    rng = np.random.default_rng(seed)
+    sub = rng.uniform(-2.0, 2.0, n - 1)
+    if symmetric:
+        sup = sub.copy()
+        weight = np.abs(sub)
+        diag = np.r_[weight, 0.0] + np.r_[0.0, weight] + rng.uniform(-1.0, 2.0, n)
+    else:
+        sup = rng.uniform(-2.0, 2.0, n - 1)
+        diag = rng.uniform(-2.0, 2.0, n)
+    if small is not None:
+        diag[rng.random(n) < 0.5] = small
+    if singular:
+        j = int(rng.integers(n))
+        diag[j] = 0.0
+        sub[max(j - 1, 0):j + 1] = 0.0
+        sup[max(j - 1, 0):j + 1] = 0.0
+    return sub, diag, sup, "zero pivot" if singular else None
+
+
+def _dense_ie_run(problem, h, n_steps):
+    """The field after ``n_steps`` autonomous ie steps, each solved densely."""
+    sys = assemble_system(problem, h, 0.0, include_reaction=True)
+    dense = np.diag(sys.diag) + np.diag(sys.sub, -1) + np.diag(sys.sup, 1)
+    xg = problem.xgrid
+    buffer = init_from_history(lambda t: problem.history(t, xg),
+                               DelayGrid(h, problem.tau))
+    u = problem.history(0.0, xg)
+    for _ in range(n_steps):
+        buffer.push(u)
+        u = np.linalg.solve(dense, u + h * problem.b * buffer.oldest)
+    return u
+
+
 class TestPdeProblem:
     @pytest.mark.parametrize("bad", [
         dict(kappa=-0.1), dict(tau=0.5), dict(tau=0.0), dict(Nx=0),
@@ -56,6 +98,16 @@ class TestPdeProblem:
         kw[name] = value
         with pytest.raises(ParameterError, match=f"{name} must be finite"):
             PdeProblem(**kw)
+
+    @pytest.mark.parametrize("nx", [2.5, 3.0, True, np.float64(4.0)])
+    def test_non_integral_point_count_rejected(self, nx):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            PdeProblem(Nx=nx, history=zero_history, **BENCH_KW)
+
+    def test_numpy_integer_point_count_accepted(self):
+        prob = PdeProblem(Nx=np.int64(4), history=zero_history, **BENCH_KW)
+        res = run_pde(prob, SchemeConfig(h=0.1, T=0.2, scheme="ie"))
+        assert res.final.shape == (4,)
 
     def test_zero_diffusion_allowed(self):
         prob = PdeProblem(kappa=0.0, lambda0=-0.8, b=-0.8, tau=-0.6, Nx=10,
@@ -185,38 +237,54 @@ class TestThomasSolve:
         sys = Tridiag([1.0], [0.0, 0.0], [1.0])
         assert np.array_equal(thomas_solve(sys.factorize(), rhs), [2.0, 1.0])
 
-    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
-    @given(st.integers(1, 12), st.integers(0, 2**32 - 1),
-           st.sampled_from([None, 0.0, 1e-9, 1e-300]), st.booleans())
-    def test_pivoting_route_matches_the_dense_solver(self, n, seed, small, singular):
-        # Off-diagonals in [-2, 2]; with ``small`` set, a random half of the
-        # diagonal is that value, so elimination needs row swaps.  A zeroed
-        # column j makes the system exactly singular.
-        rng = np.random.default_rng(seed)
-        sub, sup = rng.uniform(-2.0, 2.0, n - 1), rng.uniform(-2.0, 2.0, n - 1)
-        diag = rng.uniform(-2.0, 2.0, n)
-        if small is not None:
-            diag[rng.random(n) < 0.5] = small
-        if singular:
-            j = int(rng.integers(n))
-            diag[j] = 0.0
-            if j > 0:
-                sup[j - 1] = 0.0
-            if j < n - 1:
-                sub[j] = 0.0
-        rhs = rng.standard_normal(n)
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.builds(_drawn_system, st.integers(1, 12), st.integers(0, 2**32 - 1),
+                     st.sampled_from([None, 0.0, 1e-9, 1e-300]), st.booleans(),
+                     st.booleans()))
+    # Negative definite: the L D L^T route declines it at the first pivot.
+    @example(([1.0] * 3, [-2.0] * 4, [1.0] * 3, None))
+    # Singular and symmetric: the pivoted route still names the pivot.
+    @example(([1.0], [1.0, 1.0], [1.0], r"info=2\)"))
+    # dpttrf lets a NaN pivot through; factorize must not.
+    @example(([1.0], [1.0, math.nan], [1.0], "zero pivot"))
+    # n = 1 and n = 2 positive definite, below the pivoted route's padding.
+    @example(([], [3.0], [], None))
+    @example(([0.5], [2.0, 1.0], [0.5], None))
+    def test_pivoting_route_matches_the_dense_solver(self, system):
+        sub, diag, sup, error = system
         sys = Tridiag(sub, diag, sup)
-        if singular:
-            with pytest.raises(SingularSystemError):
+        if error is not None:
+            with pytest.raises(SingularSystemError, match=error):
                 sys.factorize()
+            assert sys._factor is None
             return
-        dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+        n = sys.diag.size
+        dense = np.diag(sys.diag) + np.diag(sys.sub, -1) + np.diag(sys.sup, 1)
         cond = np.linalg.cond(dense)
         if not cond < 1e10:
             return
+        rhs = np.cos(1.0 + np.arange(n))
         x = thomas_solve(sys.factorize(), rhs)
         ref = np.linalg.solve(dense, rhs)
         assert np.abs(x - ref).max() <= 1e-13 * cond * np.abs(ref).max()
+        # L D L^T exactly for the symmetric positive definite systems.
+        spd = np.array_equal(sys.sub, sys.sup) and np.linalg.eigvalsh(dense).min() > 0
+        assert (len(sys._factor) == 2) == spd
+
+    @pytest.mark.parametrize("include_reaction, lambda0, route", [
+        (False, -0.8, 2), (True, -0.8, 2), (True, 600.0, 5)])
+    def test_assembled_system_route(self, include_reaction, lambda0, route):
+        # The preset systems are symmetric positive definite and factor as
+        # L D L^T (d, e); h lambda0 = 1.2 makes the ie system negative
+        # definite, so it takes pivoted LU (dl, d, du, du2, ipiv).
+        prob = PdeProblem(kappa=0.02, lambda0=lambda0, b=-0.8, tau=-0.6, Nx=20,
+                          history=zero_history)
+        sys = assemble_system(prob, 0.002, 0.0, include_reaction).factorize()
+        assert len(sys._factor) == route
+        dense = np.diag(sys.diag) + np.diag(sys.sub, -1) + np.diag(sys.sup, 1)
+        rhs = np.cos(np.arange(20.0))
+        assert thomas_solve(sys, rhs) == pytest.approx(
+            np.linalg.solve(dense, rhs), rel=1e-12)
 
     def test_single_cell_zero_diagonal_rejected(self):
         sys = Tridiag(sub=np.zeros(0), diag=np.array([0.0]), sup=np.zeros(0))
@@ -353,15 +421,29 @@ class TestRunPde:
         sys = assemble_system(prob, h, 0.0, include_reaction=True)
         assert np.array_equal(sys.diag, [0.0, 0.0])
         res = run_pde(prob, SchemeConfig(h=h, T=1.0, scheme="ie"))
-        dense = np.diag(sys.diag) + np.diag(sys.sub, -1) + np.diag(sys.sup, 1)
-        grid = DelayGrid(h, prob.tau)
-        xg = prob.xgrid
-        buffer = init_from_history(lambda t: ramp_history(t, xg), grid)
-        u = ramp_history(0.0, xg)
-        for _ in range(10):
-            buffer.push(u)
-            u = np.linalg.solve(dense, u + h * prob.b * buffer.oldest)
-        assert res.final == pytest.approx(u, rel=1e-12)
+        assert res.final == pytest.approx(_dense_ie_run(prob, h, 10), rel=1e-12)
+
+    def test_negative_definite_autonomous_ie_run_matches_dense_solves(self):
+        # h lambda0 = 1.2 > 1: the cached ie system is negative definite,
+        # not positive definite, and goes through the pivoted route.
+        h, n_steps = 0.002, 5
+        prob = PdeProblem(kappa=0.02, lambda0=600.0, b=-0.8, tau=-0.6, Nx=20,
+                          history=oscillating_history)
+        sys = assemble_system(prob, h, 0.0, include_reaction=True)
+        assert sys.diag.max() + 2.0 * np.abs(sys.sub).max() < 0
+        res = run_pde(prob, SchemeConfig(h=h, T=n_steps * h, scheme="ie"))
+        assert res.final == pytest.approx(_dense_ie_run(prob, h, n_steps), rel=1e-12)
+
+    @pytest.mark.parametrize("scheme", ["ie", "lt"])
+    @pytest.mark.parametrize("history, shape", [
+        (lambda t, x: 0.3, r"\(\)"),
+        (lambda t, x: np.zeros(x.size - 1), r"\(4,\)"),
+        (lambda t, x: np.zeros((x.size, 1)), r"\(5, 1\)"),
+    ], ids=["scalar", "short", "column"])
+    def test_history_of_the_wrong_shape_rejected(self, scheme, history, shape):
+        prob = PdeProblem(Nx=5, history=history, **BENCH_KW)
+        with pytest.raises(ParameterError, match=f"has shape {shape}, expected"):
+            run_pde(prob, SchemeConfig(h=0.1, T=0.5, scheme=scheme))
 
     def test_fractional_lag_rejected(self):
         prob = PdeProblem(kappa=0.02, lambda0=-0.8, b=-0.8, tau=-0.257,
