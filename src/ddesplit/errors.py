@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the finiteness check."""
+"""Exception types shared across the package, and the finiteness and integer checks."""
 
 import math
+import numbers
 
 
 class ParameterError(ValueError):
@@ -16,6 +17,17 @@ def require_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value}")
+
+
+def require_integer(**values) -> None:
+    """Raise ``ParameterError`` naming the first value that is not an integer.
+
+    Python and NumPy integers pass.  A bool is refused although it is an
+    integer type, and so is an integral float, which ``int()`` would accept.
+    """
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
 class InsufficientHistoryError(ParameterError):

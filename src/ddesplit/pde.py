@@ -24,7 +24,6 @@ non-finite) takes LU with partial pivoting (``dgttrf``/``dgttrs``).
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -37,6 +36,7 @@ from .errors import (
     SingularStepError,
     SingularSystemError,
     require_finite,
+    require_integer,
 )
 from .history import DelayGrid, RingBuffer, init_from_history
 from .scalar import EPS_DEN, SchemeConfig
@@ -73,8 +73,7 @@ class PdeProblem:
             raise ParameterError(f"diffusion coefficient must be >= 0, got {self.kappa}")
         if self.tau >= 0:
             raise ParameterError(f"delay must be negative, got {self.tau}")
-        if isinstance(self.Nx, bool) or not isinstance(self.Nx, numbers.Integral):
-            raise ParameterError(f"interior point count must be an integer, got {self.Nx!r}")
+        require_integer(Nx=self.Nx)
         if self.Nx < 1:
             raise ParameterError(f"need at least one interior point, got {self.Nx}")
         if self.L <= 0:

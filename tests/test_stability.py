@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddesplit import stability
-from ddesplit.errors import NumericalError, ParameterError
+from ddesplit.errors import NumericalError, ParameterError, RootConvergenceError
 from ddesplit.harness import char_root_rightmost
 from ddesplit.scalar import ScalarDelayProblem, StepCoefficients, ie_step, lt_step
 from ddesplit.stability import (
@@ -42,6 +42,23 @@ class TestCompanionOperator:
     def test_depth_below_one_rejected(self):
         with pytest.raises(ParameterError):
             CompanionOperator(m=0, alpha=1.0, beta=0.5)
+
+    @pytest.mark.parametrize("m, alpha, beta", [
+        (3, math.nan, 0.5),
+        (3, math.inf, 0.5),
+        (3, 0.9, math.nan),
+        (3, 0.9, -math.inf),
+        (2.5, 0.9, 0.5),
+        (3.0, 0.9, 0.5),
+        (True, 0.9, 0.5),
+    ])
+    def test_bad_input_rejected(self, m, alpha, beta):
+        with pytest.raises(ParameterError):
+            CompanionOperator(m=m, alpha=alpha, beta=beta)
+
+    def test_numpy_integer_depth_accepted(self):
+        op = CompanionOperator(m=np.int64(3), alpha=0.9, beta=0.5)
+        assert op.dimension == 4
 
     def test_dense_structure(self):
         op = CompanionOperator(m=3, alpha=0.9, beta=-0.4)
@@ -247,6 +264,40 @@ class TestSpectralRadius:
         oracle = dense_spectral_radius(op)
         assert abs(spectral_radius(op) - oracle) <= 1e-13 * oracle
 
+    # Seeded draws at depths 252 to 586 on which the iteration can stall.
+    # The route must either converge to the eigenvalue radius or say it did
+    # not.  Freezing a root before applying the correction of the sweep that
+    # converged it returns wrong radii on five of them, e.g. 1.0025 against
+    # 1.1528 at m 500.
+    @pytest.mark.parametrize("m, alpha, beta", [
+        (296, 0.41756799619763063, -0.8051049331052236),
+        (252, -0.0150714732831152, -0.5362441454955037),
+        (500, -1.1528038767952904, -0.5256974595088403),
+        (486, -0.09901889992206181, -1.019166076457263),
+        (586, 1.2536678406035389, 0.181368507770435),
+        (520, -1.1449774337281902, -1.4596004833170104),
+        (381, 1.27043194060222, 0.6675096922782964),
+    ])
+    def test_hard_draws_converge_or_raise(self, m, alpha, beta):
+        op = CompanionOperator(m=m, alpha=alpha, beta=beta)
+        try:
+            rho = spectral_radius(op)
+        except RootConvergenceError:
+            return
+        assert rho == pytest.approx(dense_spectral_radius(op), rel=1e-12)
+
+    @pytest.mark.xfail(strict=True, raises=RootConvergenceError,
+                       reason="the Aberth sweeps stall at large depth on some "
+                              "coefficients; `ddesplit stability --a "
+                              "-139.48195482076895 --b -192.80810321588334 "
+                              "--tau -2.96 --h 0.01` exits with no convergence "
+                              "after 100 sweeps")
+    def test_converges_on_a_draw_at_depth_296(self):
+        op = CompanionOperator(m=296, alpha=0.41756799619763063,
+                               beta=-0.8051049331052236)
+        assert spectral_radius(op) == pytest.approx(dense_spectral_radius(op),
+                                                    rel=1e-12)
+
     def test_radius_tracks_the_characteristic_root_to_first_order(self):
         # log(rho)/h approaches the real part of the rightmost root of
         # lambda = a + b e^{lambda tau} with an O(h) gap, up to m = 2570.
@@ -325,7 +376,8 @@ class TestCompanionProfiles:
         dense = op.dense()
         assert r[0] == pytest.approx(np.abs(dense - np.eye(5)).sum(axis=1).max())
 
-    @pytest.mark.parametrize("checkpoints", [[], [0], [-3, 5]])
+    @pytest.mark.parametrize("checkpoints", [[], [0], [-3, 5], [2.5, 4], [4.0],
+                                             [True, 4]])
     def test_invalid_checkpoints_rejected(self, checkpoints):
         op = CompanionOperator(m=2, alpha=0.7, beta=0.1)
         with pytest.raises(ParameterError):
@@ -352,6 +404,12 @@ class TestPowerNormSums:
         with pytest.raises(ParameterError):
             companion_power_norm_sum(CompanionOperator(m=1, alpha=0.5,
                                                        beta=0.1), 0)
+
+    @pytest.mark.parametrize("N", [2.0, 2.5, True])
+    def test_non_integer_horizon_rejected(self, N):
+        with pytest.raises(ParameterError):
+            companion_power_norm_sum(CompanionOperator(m=1, alpha=0.5,
+                                                       beta=0.1), N)
 
     def test_overflow_reported(self):
         with pytest.raises(NumericalError):
@@ -386,16 +444,21 @@ def _abs_power_norms(mat, n_max):
 
 
 class TestFirstRowSequence:
-    def test_chunks_match_the_row_update_bit_for_bit(self):
+    # m = 1 fills a chunk m + 1 = 2 steps at a time.  m = 4100 exceeds the
+    # chunk, so every chunk is shorter than m + 1 steps and its tail reaches
+    # back over earlier chunks.
+    @pytest.mark.parametrize("m", [1, 257, 4100])
+    def test_chunks_match_the_row_update_bit_for_bit(self, m):
         coeffs = StepCoefficients.from_params(SCALAR_A, SCALAR_B, 0.001)
-        op = CompanionOperator(m=257, alpha=coeffs.alpha, beta=coeffs.beta)
+        op = CompanionOperator(m=m, alpha=coeffs.alpha, beta=coeffs.beta)
         m, tail, chunk = op.m, 2 * op.m + 2, stability._CHUNK
         n_max = 3 * chunk + 100
         c_all, b_all, starts = [], [], []
         for j0, c, b in stability._first_rows(op, n_max):
             starts.append(j0)
-            # The tail repeats the values before the chunk (zero before j = 0).
-            before = np.concatenate((np.zeros(tail), c_all[-1] if c_all else []))
+            # The tail repeats the values before the chunk (zero before j = 0);
+            # for m > chunk it reaches back over more than one chunk.
+            before = np.concatenate([np.zeros(tail)] + c_all)
             assert np.array_equal(c[:tail], before[-tail:])
             assert np.array_equal(b, op.beta * c)
             c_all.append(c[tail:])
