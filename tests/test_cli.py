@@ -250,6 +250,20 @@ class TestStabilityOutput:
         # The report keeps 12 significant digits.
         assert data["spectral_radius"] == pytest.approx(oracle, rel=1e-11)
 
+    def test_operator_that_stalled_uniform_starts(self, capsys):
+        # m 296, alpha 0.4176, beta -0.8051: sweeps from uniform angles on
+        # the Newton-polygon circles did not converge in 100 sweeps.
+        rc = main(["stability", "--a", "-139.48195482076895",
+                   "--b", "-192.80810321588334", "--tau", "-2.96", "--h", "0.01"])
+        assert rc == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["m"] == 296
+        coeffs = StepCoefficients.from_params(-139.48195482076895,
+                                              -192.80810321588334, 0.01)
+        oracle = dense_spectral_radius(
+            CompanionOperator(m=296, alpha=coeffs.alpha, beta=coeffs.beta))
+        assert data["spectral_radius"] == pytest.approx(oracle, rel=1e-11)
+
     def test_report_builds_no_dense_matrix(self, capsys):
         def refuse(*args, **kwargs):
             raise AssertionError("dense matrix built")
