@@ -124,12 +124,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pde", help="run the reaction-diffusion delay model")
     p.add_argument("--scheme", choices=["ie", "lt"], default="ie")
-    p.add_argument("--mode", choices=["auto", "nonauto"], default="auto",
-                   help="constant or sinusoidally modulated reaction coefficient")
-    p.add_argument("--preset", choices=["paper-auto-pde", "paper-nonauto-pde"],
-                   default=None,
-                   help="set lambda1 to 0 (auto) or 0.2 (nonauto) unless --lambda1 "
-                        "is given; explicit flags override the benchmark defaults")
+    modes = p.add_mutually_exclusive_group()
+    modes.add_argument("--mode", choices=["auto", "nonauto"], default=None,
+                       help="constant or sinusoidally modulated reaction "
+                            "coefficient (default: auto)")
+    modes.add_argument("--preset", choices=["paper-auto-pde", "paper-nonauto-pde"],
+                       default=None,
+                       help="the benchmark in the auto or nonauto mode, which sets "
+                            "lambda1 to 0 or 0.2 unless --lambda1 is given; other "
+                            "explicit flags override the benchmark defaults")
     p.add_argument("--kappa", type=_positive, default=PDE_DEFAULTS["kappa"])
     p.add_argument("--lambda0", type=float, default=PDE_DEFAULTS["lambda0"])
     p.add_argument("--lambda1", type=float, default=None,
@@ -284,14 +287,10 @@ def _scalar_problem(ns) -> ScalarDelayProblem:
 
 
 def _pde_problem(ns) -> PdeProblem:
-    mode = ns.mode
-    if ns.preset == "paper-auto-pde":
-        mode = "auto"
-    elif ns.preset == "paper-nonauto-pde":
-        mode = "nonauto"
     lambda1 = ns.lambda1
     if lambda1 is None:
-        lambda1 = 0.2 if mode == "nonauto" else 0.0
+        nonauto = ns.mode == "nonauto" or ns.preset == "paper-nonauto-pde"
+        lambda1 = 0.2 if nonauto else 0.0
     history = oscillating_history if ns.field_history == "osc" \
         else (lambda t, x: np.zeros_like(x))
     return PdeProblem(kappa=ns.kappa, lambda0=ns.lambda0, b=ns.b, tau=ns.tau,

@@ -93,10 +93,6 @@ class RingBuffer(collections.deque):
     # Discard the oldest entry and append the argument as the newest.
     push = collections.deque.append
 
-    @property
-    def oldest(self):
-        return self[0]
-
 
 def init_from_history(history: Callable[[float], object],
                       grid: DelayGrid) -> RingBuffer:
@@ -119,7 +115,6 @@ def delayed_value(buffer: RingBuffer, grid: DelayGrid):
     at least ``m + 1`` entries.
     """
     if grid.delta == 0.0:
-        # ``buffer.oldest`` without the property call; this runs once per step.
         return buffer[0]
     if buffer.maxlen < grid.m + 1:
         raise InsufficientHistoryError(
@@ -217,10 +212,3 @@ def delay_kernel_integral(g, h: float) -> float:
     for w in reversed(_cell_integrals(g)):
         acc = w + e1 * acc
     return float(h * acc)
-
-
-def l2_norm_trapezoid(g, h: float) -> float:
-    """Trapezoidal L2 norm of the sampled segment on [tau, 0]."""
-    g = np.asarray(g, dtype=float)
-    sq = g * g
-    return float(np.sqrt(h * (sq.sum() - 0.5 * (sq[0] + sq[-1]))))

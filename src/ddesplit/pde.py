@@ -6,19 +6,21 @@ Two first-order schemes share the field ring buffer.  Both read the delayed
 field explicitly from the post-shift oldest buffer entry; ``run_pde`` calls
 each at the time level ``SchemeConfig.level`` of its reaction coefficient.
 
-* implicit Euler (level 1): one backward step of the full stiff part.  With
-  a constant reaction coefficient the tridiagonal factorization is reused; a
-  time-dependent coefficient forces a fresh assembly and a dense solve of
-  the full system every step.
+* implicit Euler (level 1): one backward step of the full stiff part.  A
+  step handed the factored system substitutes against it; a step handed
+  none assembles the system at the new time and solves it densely.
+  ``run_pde`` hands over the factors exactly when the reaction coefficient
+  is constant.
 * Lie-Trotter splitting (level 0): cached implicit diffusion solve,
   ring-buffer transport shift, then a pointwise algebraic reaction/delay
   update with the coefficient frozen at the old time level.
 
-The assembled systems are symmetric, and positive definite whenever
-1 - h lambda > 0.  ``Tridiag.factorize`` factors such a system as L D L^T
-(LAPACK ``dpttrf``, no pivoting) and ``thomas_solve`` substitutes with
-``dpttrs``; every other system (nonsymmetric, not positive definite, or
-non-finite) takes LU with partial pivoting (``dgttrf``/``dgttrs``).
+The assembled systems are symmetric, so ``Tridiag`` stores one
+off-diagonal, and they are positive definite whenever 1 - h lambda > 0.
+``Tridiag.factorize`` factors such a system as L D L^T (LAPACK ``dpttrf``,
+no pivoting) and ``thomas_solve`` substitutes with ``dpttrs``; every other
+system (not positive definite, or non-finite) takes LU with partial
+pivoting (``dgttrf``/``dgttrs``).
 """
 
 from __future__ import annotations
@@ -101,48 +103,43 @@ class PdeProblem:
 
 @dataclass
 class Tridiag:
-    """Tridiagonal system with optional cached factors: ``(d, e)`` of L D L^T,
-    or ``(dl, d, du, du2, ipiv)`` of pivoted LU."""
+    """Symmetric tridiagonal system with optional cached factors: ``(d, e)``
+    of L D L^T, or ``(dl, d, du, du2, ipiv)`` of pivoted LU."""
 
-    sub: np.ndarray
     diag: np.ndarray
-    sup: np.ndarray
+    off: np.ndarray
     _factor: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.sub = np.asarray(self.sub, dtype=float)
         self.diag = np.asarray(self.diag, dtype=float)
-        self.sup = np.asarray(self.sup, dtype=float)
-        n = self.diag.size
-        if self.sub.size != max(n - 1, 0) or self.sup.size != max(n - 1, 0):
-            raise ParameterError("off-diagonal lengths must be n - 1")
+        self.off = np.asarray(self.off, dtype=float)
+        if self.off.size != max(self.diag.size - 1, 0):
+            raise ParameterError("off-diagonal length must be n - 1")
 
     def factorize(self) -> "Tridiag":
         """Cache LAPACK factors of the system; solves then only substitute.
 
-        A symmetric system is first factored as L D L^T by ``dpttrf``.  Its
-        factors are kept when every pivot of D is positive and finite, that
-        is, when the matrix is positive definite in floating point
-        (``dpttrf`` itself lets a NaN pivot through).  Otherwise the system
-        takes LU with partial pivoting by ``dgttrf``, whose wrapper rejects
-        n < 3: a smaller system is padded with an uncoupled identity block,
-        which leaves its leading factors unchanged.  Every factor comes
-        from here, so ``thomas_solve`` always finds ``lapack`` bound.
+        The system is first factored as L D L^T by ``dpttrf``.  Its factors
+        are kept when every pivot of D is positive and finite, that is,
+        when the matrix is positive definite in floating point (``dpttrf``
+        itself lets a NaN pivot through).  Otherwise the system takes LU
+        with partial pivoting by ``dgttrf``, whose wrapper rejects n < 3: a
+        smaller system is padded with an uncoupled identity block, which
+        leaves its leading factors unchanged.  Every factor comes from
+        here, so ``thomas_solve`` always finds ``lapack`` bound.
         """
         _load_lapack()
-        sub, diag, sup = self.sub, self.diag, self.sup
-        if np.array_equal(sub, sup):
-            # The dpttrf wrapper wants one off-diagonal entry even when n = 1.
-            d, e, info = lapack.dpttrf(diag, sub if diag.size > 1 else np.zeros(1))
-            if info == 0 and np.isfinite(d).all():
-                self._factor = d, e
-                return self
+        diag, off = self.diag, self.off
+        # The dpttrf wrapper wants one off-diagonal entry even when n = 1.
+        d, e, info = lapack.dpttrf(diag, off if diag.size > 1 else np.zeros(1))
+        if info == 0 and np.isfinite(d).all():
+            self._factor = d, e
+            return self
         pad = 3 - diag.size
         if pad > 0:
-            zeros = np.zeros(pad)
-            sub, sup = np.concatenate((sub, zeros)), np.concatenate((sup, zeros))
+            off = np.concatenate((off, np.zeros(pad)))
             diag = np.concatenate((diag, np.ones(pad)))
-        dl, d, du, du2, ipiv, info = lapack.dgttrf(sub, diag, sup)
+        dl, d, du, du2, ipiv, info = lapack.dgttrf(off, diag, off)
         if info != 0:
             raise SingularSystemError(f"zero pivot during factorization (info={info})")
         self._factor = dl, d, du, du2, ipiv
@@ -168,8 +165,7 @@ def assemble_system(problem: PdeProblem, h: float, t: float,
     diag = np.full(n, 1.0 + 2.0 * r)
     if include_reaction:
         diag -= h * problem.lam(t)
-    off = np.full(max(n - 1, 0), -r)
-    return Tridiag(sub=off.copy(), diag=diag, sup=off.copy())
+    return Tridiag(diag=diag, off=np.full(max(n - 1, 0), -r))
 
 
 def thomas_solve(sys: Tridiag, rhs: np.ndarray) -> np.ndarray:
@@ -204,22 +200,18 @@ def ie_pde_step(u_n: np.ndarray, buffer: RingBuffer, t_new: float,
 
     Shifts the buffer (pushing ``u_n``), reads the post-shift oldest field as
     the delayed value, and solves (I - h kappa Delta_h - h lambda(t_new)) u =
-    u_n + h b u_delay.  Autonomous problems may pass a factorized ``cache``;
-    a time-dependent reaction assembles the full system anew each step and
-    solves it densely.
+    u_n + h b u_delay.  A factored ``cache`` of that system is substituted
+    by ``thomas_solve``; without one the system is assembled at ``t_new``
+    and solved densely.
     """
     buffer.push(u_n)
-    u_delay = buffer.oldest
-    rhs = u_n + h * problem.b * u_delay
-    if problem.autonomous:
-        sys = cache if cache is not None else assemble_system(
-            problem, h, t_new, include_reaction=True).factorize()
-        return thomas_solve(sys, rhs)
+    rhs = u_n + h * problem.b * buffer[0]
+    if cache is not None:
+        return thomas_solve(cache, rhs)
     sys = assemble_system(problem, h, t_new, include_reaction=True)
     dense = np.diag(sys.diag)
     idx = np.arange(problem.Nx - 1)
-    dense[idx + 1, idx] = sys.sub
-    dense[idx, idx + 1] = sys.sup
+    dense[idx + 1, idx] = dense[idx, idx + 1] = sys.off
     try:
         return np.linalg.solve(dense, rhs)
     except np.linalg.LinAlgError as exc:
@@ -236,11 +228,10 @@ def lt_pde_step(u_n: np.ndarray, buffer: RingBuffer, t_n: float,
     """
     u_star = thomas_solve(cache, u_n)
     buffer.push(u_n)
-    u_delay = buffer.oldest
     den = 1.0 - h * problem.lam(t_n)
     if abs(den) <= EPS_DEN:
         raise SingularStepError(f"1 - h*lambda = {den} below guard")
-    return (u_star + h * problem.b * u_delay) / den
+    return (u_star + h * problem.b * buffer[0]) / den
 
 
 @dataclass

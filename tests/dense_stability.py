@@ -2,10 +2,13 @@
 
 Each one forms the matrices the companion routes of ``ddesplit.stability``
 avoid, so they serve only as desk-scale cross-checks.  All norms are the
-induced infinity norm (max absolute row sum).
+induced infinity norm (max absolute row sum).  The residual checks of the
+exact telescoping and summation-by-parts identities that drive the error
+analysis work on the same dense matrices.
 """
 
 import math
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -96,3 +99,75 @@ def power_norm_sum(op: np.ndarray, N: int) -> float:
                 raise NumericalError(f"power overflow at n = {n}")
             total += inf_norm(power)
     return total
+
+
+def verify_telescoping(R_list: Sequence[np.ndarray],
+                       P_list: Sequence[np.ndarray]) -> Tuple[float, float]:
+    """Residual of the time-ordered telescoping identity, and its scale.
+
+    Checks prod R - prod P = sum_k R_{n-1:k+1} (R_k - P_k) P_{k-1:0}
+    entrywise; the residual must vanish to rounding relative to the scale,
+    the largest intermediate magnitude (at least 1).
+    """
+    if len(R_list) != len(P_list) or not R_list:
+        raise ParameterError("need equally many R and P factors, at least one")
+    d = R_list[0].shape[0]
+    for mat in (*R_list, *P_list):
+        if mat.shape != (d, d):
+            raise ParameterError("all factors must share one square dimension")
+    n = len(R_list)
+    # Suffix products of R (R_{n-1:k}) and prefix products of P (P_{k-1:0}).
+    suffix = [np.eye(d)]
+    for k in range(n - 1, -1, -1):
+        suffix.append(suffix[-1] @ R_list[k])
+    suffix.reverse()  # suffix[k] = R_{n-1} ... R_k, suffix[n] = I
+    prefix = [np.eye(d)]
+    for k in range(n):
+        prefix.append(P_list[k] @ prefix[-1])
+    lhs = suffix[0] - prefix[n]
+    rhs = np.zeros((d, d))
+    for k in range(n):
+        rhs += suffix[k + 1] @ (R_list[k] - P_list[k]) @ prefix[k]
+    residual = float(np.abs(lhs - rhs).max())
+    scale = max(
+        float(np.abs(lhs).max()),
+        max(float(np.abs(s).max()) for s in suffix),
+        max(float(np.abs(p).max()) for p in prefix),
+        1.0,
+    )
+    return residual, scale
+
+
+def verify_abel(T: np.ndarray,
+                tau_list: Sequence[np.ndarray]) -> Tuple[float, float]:
+    """Residual of the summation-by-parts identity for matrix powers, and its scale.
+
+    Checks sum_{k=0}^{n-1} T^{n-1-k} tau_k = A_{n-1}
+    - sum_{m=1}^{n-1} (T^{m-1} - T^m) A_{n-1-m}, with A_k the partial sums
+    of the tau vectors.  Both sides are evaluated directly; the scale is the
+    largest intermediate magnitude (at least 1).
+    """
+    T = np.asarray(T, dtype=float)
+    taus = [np.asarray(v, dtype=float) for v in tau_list]
+    if not taus:
+        raise ParameterError("need at least one tau vector")
+    d = T.shape[0]
+    if T.shape != (d, d) or any(v.shape != (d,) for v in taus):
+        raise ParameterError("dimension mismatch between T and tau vectors")
+    n = len(taus)
+    powers = [np.eye(d)]
+    for _ in range(n):
+        powers.append(powers[-1] @ T)
+    partial = np.cumsum(taus, axis=0)  # partial[k] = A_k
+    lhs = sum(powers[n - 1 - k] @ taus[k] for k in range(n))
+    rhs = partial[n - 1].copy()
+    for mm in range(1, n):
+        rhs -= (powers[mm - 1] - powers[mm]) @ partial[n - 1 - mm]
+    residual = float(np.abs(lhs - rhs).max())
+    scale = max(
+        float(np.abs(lhs).max()),
+        max(float(np.abs(p).max()) for p in powers),
+        float(np.abs(partial).max()),
+        1.0,
+    )
+    return residual, scale

@@ -11,6 +11,8 @@ grid.  Since the equation is linear, each RK4 step collapses to
 with f(t) = b u(t + tau) and constant weights, which lets whole
 delay-length blocks run through a linear recurrence filter instead of a
 Python loop.
+
+The trapezoidal segment norm of the transport trace bound lives here too.
 """
 
 import warnings
@@ -75,3 +77,10 @@ def rk4_dde_subsampled(a: float, b: float, tau: float, history, T: float,
     """
     times, values = rk4_dde(a, b, tau, history, T, h / refine)
     return times[::refine], values[::refine]
+
+
+def l2_norm_trapezoid(g, h: float) -> float:
+    """Trapezoidal L2 norm of the sampled segment on [tau, 0]."""
+    g = np.asarray(g, dtype=float)
+    sq = g * g
+    return float(np.sqrt(h * (sq.sum() - 0.5 * (sq[0] + sq[-1]))))

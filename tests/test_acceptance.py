@@ -21,7 +21,7 @@ from ddesplit.harness import (
     convergence_study,
     exp_growth_fit,
 )
-from ddesplit.history import l2_norm_trapezoid, transport_resolvent_apply
+from ddesplit.history import transport_resolvent_apply
 from ddesplit.oracle import OhiraParams, oo_residual, oo_solution, poly_history
 from ddesplit.pde import PdeProblem, oscillating_history
 from ddesplit.scalar import ScalarDelayProblem, SchemeConfig, StepCoefficients, run
@@ -31,11 +31,10 @@ from ddesplit.stability import (
     companion_operator,
     defect_norm,
     spectral_radius,
-    verify_abel,
-    verify_telescoping,
 )
 
-from dense_stability import dense_spectral_radius
+from dense_stability import dense_spectral_radius, verify_abel, verify_telescoping
+from reference import l2_norm_trapezoid
 
 # Tabulated center values u(t, 0.5) at t = 0..8, h = 0.002, Nx = 300.
 TARGET_CENTER_AUTO_IE = [2.9988e-1, 1.1726e-1, -1.7249e-2, 6.1128e-3,

@@ -185,10 +185,11 @@ class TestPdeOutput:
         main(["pde", "--preset", "paper-nonauto-pde"] + small)
         data = json.loads(capsys.readouterr().out)
         assert data["parameters"]["lambda1"] == 0.2
-        # The preset wins over an explicit --mode flag.
-        main(["pde", "--preset", "paper-auto-pde", "--mode", "nonauto"] + small)
-        data = json.loads(capsys.readouterr().out)
-        assert data["parameters"]["lambda1"] == 0.0
+        # A preset fixes the mode, so an explicit --mode is a usage error.
+        with pytest.raises(SystemExit) as exc:
+            main(["pde", "--preset", "paper-auto-pde", "--mode", "nonauto"] + small)
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_mode_flag_selects_the_modulation(self, capsys):
         small = ["--Nx", "4", "--h", "0.1", "--T", "0.3", "--format", "json"]

@@ -15,11 +15,12 @@ from ddesplit.history import (
     delay_kernel_integral,
     delayed_value,
     init_from_history,
-    l2_norm_trapezoid,
     segment_from_history,
     transport_resolvent_apply,
 )
 from ddesplit.oracle import poly_history
+
+from reference import l2_norm_trapezoid
 
 
 class TestDelayGrid:
@@ -70,7 +71,7 @@ class TestRingBuffer:
         buf = RingBuffer([1, 2, 3])
         buf.push(4)
         assert list(buf) == [2, 3, 4]
-        assert buf.oldest == 2
+        assert buf[0] == 2
 
     def test_capacity_two_full_overwrite(self):
         buf = RingBuffer(["x1", "x2"])
@@ -82,7 +83,7 @@ class TestRingBuffer:
         buf = RingBuffer([5])
         buf.push(7)
         assert list(buf) == [7]
-        assert buf.oldest == 7
+        assert buf[0] == 7
 
     def test_empty_initializer_rejected(self):
         with pytest.raises(ParameterError):
@@ -118,7 +119,7 @@ class TestRingBuffer:
             buf.push(value)
             fifo = fifo[1:] + [value]
             assert list(buf) == fifo
-            assert buf.oldest == fifo[0]
+            assert buf[0] == fifo[0]
             assert [buf[k] for k in range(cap)] == fifo
             assert len(buf) == cap
             assert delayed_value(buf, on_grid) == fifo[0]
@@ -136,7 +137,7 @@ class TestInitFromHistory:
     def test_oldest_slot_samples_the_left_endpoint(self):
         grid = DelayGrid(h=0.25, tau=-1.0)
         buf = init_from_history(lambda t: t, grid)
-        assert buf.oldest == -1.0
+        assert buf[0] == -1.0
         assert list(buf) == pytest.approx([-1.0, -0.75, -0.5, -0.25])
 
     def test_polynomial_history_newest_slot_is_its_constant_term(self):
@@ -375,3 +376,13 @@ def test_trace_bound_on_random_triples():
         rho = transport_resolvent_apply(f, g)
         bound = abs(f) + l2_norm_trapezoid(g, h) / math.sqrt(2.0 * h)
         assert abs(rho[0]) <= bound + 1e-12
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.floats(1e-3, 10.0), st.floats(-1e6, 1e6),
+       st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=400))
+def test_trace_bound_on_drawn_triples(h, f, g):
+    """|rho(tau)| <= |f| + (2h)^{-1/2} ||g||_L2, up to rounding relative to the bound."""
+    rho = transport_resolvent_apply(f, g)
+    bound = abs(f) + l2_norm_trapezoid(g, h) / math.sqrt(2.0 * h)
+    assert abs(rho[0]) <= bound * (1.0 + 1e-12)

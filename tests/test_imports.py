@@ -99,7 +99,7 @@ def test_unfactored_solve_as_first_lapack_call():
         from ddesplit.errors import ParameterError
         from ddesplit.pde import Tridiag, thomas_solve
 
-        sys_ = Tridiag(sub=[1.0, -1.0], diag=[4.0, 3.0, 5.0], sup=[2.0, 0.5])
+        sys_ = Tridiag(diag=[4.0, 3.0, 5.0], off=[1.0, -1.0])
         rhs = np.array([1.0, 2.0, 3.0])
         assert_no_scipy()
         try:
@@ -110,7 +110,7 @@ def test_unfactored_solve_as_first_lapack_call():
             raise AssertionError("an unfactored solve went through")
         assert_no_scipy()
         x = thomas_solve(sys_.factorize(), rhs)
-        dense = np.diag(sys_.diag) + np.diag(sys_.sub, -1) + np.diag(sys_.sup, 1)
+        dense = np.diag(sys_.diag) + np.diag(sys_.off, -1) + np.diag(sys_.off, 1)
         assert np.allclose(dense @ x, rhs, rtol=0, atol=1e-14), x
     """)
 

@@ -37,45 +37,47 @@ def ramp_history(t, x):
     return np.asarray(x, dtype=float)
 
 
-def _drawn_system(n, seed, small, singular, symmetric):
-    """A random tridiagonal system (sub, diag, sup, expected error pattern).
+def _drawn_system(n, seed, small, singular, weighted):
+    """A random symmetric tridiagonal system (diag, off, expected error pattern).
 
-    Off-diagonals lie in [-2, 2].  A symmetric draw (sup = sub) has diagonal
-    |sub| row sums plus a margin in [-1, 2], which gives positive definite
-    and indefinite systems in about equal shares.  With ``small`` set, a
-    random half of the diagonal is that value, so elimination needs row
-    swaps.  ``singular`` zeroes row and column j.
+    Off-diagonals lie in [-2, 2].  A ``weighted`` draw has diagonal |off|
+    row sums plus a margin in [-1, 2], which gives positive definite and
+    indefinite systems in about equal shares; otherwise the diagonal lies
+    in [-2, 2].  With ``small`` set, a random half of the diagonal is that
+    value, so elimination needs row swaps.  ``singular`` zeroes row and
+    column j.
     """
     rng = np.random.default_rng(seed)
-    sub = rng.uniform(-2.0, 2.0, n - 1)
-    if symmetric:
-        sup = sub.copy()
-        weight = np.abs(sub)
+    off = rng.uniform(-2.0, 2.0, n - 1)
+    if weighted:
+        weight = np.abs(off)
         diag = np.r_[weight, 0.0] + np.r_[0.0, weight] + rng.uniform(-1.0, 2.0, n)
     else:
-        sup = rng.uniform(-2.0, 2.0, n - 1)
         diag = rng.uniform(-2.0, 2.0, n)
     if small is not None:
         diag[rng.random(n) < 0.5] = small
     if singular:
         j = int(rng.integers(n))
         diag[j] = 0.0
-        sub[max(j - 1, 0):j + 1] = 0.0
-        sup[max(j - 1, 0):j + 1] = 0.0
-    return sub, diag, sup, "zero pivot" if singular else None
+        off[max(j - 1, 0):j + 1] = 0.0
+    return diag, off, "zero pivot" if singular else None
+
+
+def _dense(sys):
+    """The dense matrix of a symmetric tridiagonal system."""
+    return np.diag(sys.diag) + np.diag(sys.off, -1) + np.diag(sys.off, 1)
 
 
 def _dense_ie_run(problem, h, n_steps):
     """The field after ``n_steps`` autonomous ie steps, each solved densely."""
-    sys = assemble_system(problem, h, 0.0, include_reaction=True)
-    dense = np.diag(sys.diag) + np.diag(sys.sub, -1) + np.diag(sys.sup, 1)
+    dense = _dense(assemble_system(problem, h, 0.0, include_reaction=True))
     xg = problem.xgrid
     buffer = init_from_history(lambda t: problem.history(t, xg),
                                DelayGrid(h, problem.tau))
     u = problem.history(0.0, xg)
     for _ in range(n_steps):
         buffer.push(u)
-        u = np.linalg.solve(dense, u + h * problem.b * buffer.oldest)
+        u = np.linalg.solve(dense, u + h * problem.b * buffer[0])
     return u
 
 
@@ -139,22 +141,20 @@ class TestAssembleSystem:
                           history=zero_history)
         sys = assemble_system(prob, h=0.1, t=0.0, include_reaction=False)
         assert np.array_equal(sys.diag, np.ones(5))
-        assert np.array_equal(sys.sub, np.zeros(4))
-        assert np.array_equal(sys.sup, np.zeros(4))
+        assert np.array_equal(sys.off, np.zeros(4))
 
     def test_single_point_benchmark_entry(self):
         prob = PdeProblem(Nx=1, history=zero_history, **BENCH_KW)
         sys = assemble_system(prob, h=0.002, t=0.0, include_reaction=True)
         assert sys.diag[0] == pytest.approx(1.00192, rel=1e-12)
-        assert sys.sub.size == 0 and sys.sup.size == 0
+        assert sys.off.size == 0
 
     def test_off_diagonals_carry_the_diffusion_weight(self):
         prob = PdeProblem(Nx=6, history=zero_history, **BENCH_KW)
         h = 0.002
         sys = assemble_system(prob, h=h, t=0.0, include_reaction=True)
         r = h * prob.kappa / prob.dx ** 2
-        assert sys.sub == pytest.approx(np.full(5, -r), rel=1e-14)
-        assert sys.sup == pytest.approx(np.full(5, -r), rel=1e-14)
+        assert sys.off == pytest.approx(np.full(5, -r), rel=1e-14)
         assert sys.diag == pytest.approx(np.full(6, 1.0 + 2.0 * r
                                                  - h * prob.lambda0), rel=1e-14)
 
@@ -168,21 +168,19 @@ class TestAssembleSystem:
 
 class TestThomasSolve:
     def test_identity_returns_the_rhs(self):
-        sys = Tridiag(sub=np.zeros(3), diag=np.ones(4), sup=np.zeros(3)).factorize()
+        sys = Tridiag(diag=np.ones(4), off=np.zeros(3)).factorize()
         rhs = np.array([1.0, -2.0, 3.0, 0.5])
         assert np.array_equal(thomas_solve(sys, rhs), rhs)
 
     def test_two_by_two_hand_solve(self):
-        sys = Tridiag(sub=np.array([1.0]), diag=np.array([2.0, 2.0]),
-                      sup=np.array([1.0])).factorize()
+        sys = Tridiag(diag=np.array([2.0, 2.0]), off=np.array([1.0])).factorize()
         assert thomas_solve(sys, np.array([3.0, 3.0])) == pytest.approx(
             [1.0, 1.0], rel=1e-14)
 
     def test_unfactored_system_rejected(self):
         # Every factorization is a call of Tridiag.factorize, so a solve
         # never factors on the side.
-        sys = Tridiag(sub=np.array([1.0]), diag=np.array([2.0, 2.0]),
-                      sup=np.array([1.0]))
+        sys = Tridiag(diag=np.array([2.0, 2.0]), off=np.array([1.0]))
         with pytest.raises(ParameterError, match="Tridiag.factorize"):
             thomas_solve(sys, np.array([3.0, 3.0]))
         assert sys._factor is None
@@ -190,42 +188,36 @@ class TestThomasSolve:
     def test_matches_the_dense_solver(self):
         rng = np.random.default_rng(32)
         n = 9
-        sub = rng.uniform(-0.4, 0.4, n - 1)
-        sup = rng.uniform(-0.4, 0.4, n - 1)
+        off = rng.uniform(-0.4, 0.4, n - 1)
         diag = rng.uniform(2.0, 3.0, n)
-        sys = Tridiag(sub=sub, diag=diag, sup=sup).factorize()
-        dense = np.diag(diag)
-        dense[np.arange(1, n), np.arange(n - 1)] = sub
-        dense[np.arange(n - 1), np.arange(1, n)] = sup
+        sys = Tridiag(diag=diag, off=off).factorize()
         rhs = rng.standard_normal(n)
         assert thomas_solve(sys, rhs) == pytest.approx(
-            np.linalg.solve(dense, rhs), rel=1e-12)
+            np.linalg.solve(_dense(sys), rhs), rel=1e-12)
 
     def test_singular_elimination_reports_the_pivot(self):
         # Rank-one 2x2: elimination zeroes the last pivot, U(2, 2).
-        sys = Tridiag(sub=np.array([1.0]), diag=np.array([1.0, 1.0]),
-                      sup=np.array([1.0]))
+        sys = Tridiag(diag=np.array([1.0, 1.0]), off=np.array([1.0]))
         with pytest.raises(SingularSystemError, match=r"info=2\)"):
             sys.factorize()
 
     def test_singular_factorization_rejected(self):
-        sys = Tridiag(sub=np.array([1.0]), diag=np.array([1.0, 1.0]),
-                      sup=np.array([1.0]))
+        sys = Tridiag(diag=np.array([1.0, 1.0]), off=np.array([1.0]))
         with pytest.raises(SingularSystemError):
             sys.factorize()
         assert sys._factor is None
 
     def test_rhs_length_mismatch_rejected(self):
-        sys = Tridiag(sub=np.zeros(2), diag=np.ones(3), sup=np.zeros(2)).factorize()
+        sys = Tridiag(diag=np.ones(3), off=np.zeros(2)).factorize()
         with pytest.raises(ParameterError):
             thomas_solve(sys, np.ones(4))
 
     def test_off_diagonal_length_mismatch_rejected(self):
         with pytest.raises(ParameterError):
-            Tridiag(sub=np.zeros(3), diag=np.ones(3), sup=np.zeros(2))
+            Tridiag(diag=np.ones(3), off=np.zeros(3))
 
     def test_single_cell_paths(self):
-        sys = Tridiag(sub=np.zeros(0), diag=np.array([2.0]), sup=np.zeros(0))
+        sys = Tridiag(diag=np.array([2.0]), off=np.zeros(0))
         sys.factorize()
         assert sys._factor is not None
         assert thomas_solve(sys, np.array([4.0])) == pytest.approx([2.0])
@@ -234,7 +226,7 @@ class TestThomasSolve:
         # [[0, 1], [1, 0]] has det -1; elimination without pivoting stops at
         # the zero pivot.
         rhs = np.array([1.0, 2.0])
-        sys = Tridiag([1.0], [0.0, 0.0], [1.0])
+        sys = Tridiag([0.0, 0.0], [1.0])
         assert np.array_equal(thomas_solve(sys.factorize(), rhs), [2.0, 1.0])
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -242,24 +234,26 @@ class TestThomasSolve:
                      st.sampled_from([None, 0.0, 1e-9, 1e-300]), st.booleans(),
                      st.booleans()))
     # Negative definite: the L D L^T route declines it at the first pivot.
-    @example(([1.0] * 3, [-2.0] * 4, [1.0] * 3, None))
-    # Singular and symmetric: the pivoted route still names the pivot.
-    @example(([1.0], [1.0, 1.0], [1.0], r"info=2\)"))
+    @example(([-2.0] * 4, [1.0] * 3, None))
+    # Singular: the pivoted route still names the pivot.
+    @example(([1.0, 1.0], [1.0], r"info=2\)"))
     # dpttrf lets a NaN pivot through; factorize must not.
-    @example(([1.0], [1.0, math.nan], [1.0], "zero pivot"))
+    @example(([1.0, math.nan], [1.0], "zero pivot"))
     # n = 1 and n = 2 positive definite, below the pivoted route's padding.
-    @example(([], [3.0], [], None))
-    @example(([0.5], [2.0, 1.0], [0.5], None))
+    @example(([3.0], [], None))
+    @example(([2.0, 1.0], [0.5], None))
+    # Zero diagonal, nonsingular: only a row swap gets past the first pivot.
+    @example(([0.0] * 4, [1.0] * 3, None))
     def test_pivoting_route_matches_the_dense_solver(self, system):
-        sub, diag, sup, error = system
-        sys = Tridiag(sub, diag, sup)
+        diag, off, error = system
+        sys = Tridiag(diag, off)
         if error is not None:
             with pytest.raises(SingularSystemError, match=error):
                 sys.factorize()
             assert sys._factor is None
             return
         n = sys.diag.size
-        dense = np.diag(sys.diag) + np.diag(sys.sub, -1) + np.diag(sys.sup, 1)
+        dense = _dense(sys)
         cond = np.linalg.cond(dense)
         if not cond < 1e10:
             return
@@ -267,9 +261,8 @@ class TestThomasSolve:
         x = thomas_solve(sys.factorize(), rhs)
         ref = np.linalg.solve(dense, rhs)
         assert np.abs(x - ref).max() <= 1e-13 * cond * np.abs(ref).max()
-        # L D L^T exactly for the symmetric positive definite systems.
-        spd = np.array_equal(sys.sub, sys.sup) and np.linalg.eigvalsh(dense).min() > 0
-        assert (len(sys._factor) == 2) == spd
+        # L D L^T exactly for the positive definite systems.
+        assert (len(sys._factor) == 2) == (np.linalg.eigvalsh(dense).min() > 0)
 
     @pytest.mark.parametrize("include_reaction, lambda0, route", [
         (False, -0.8, 2), (True, -0.8, 2), (True, 600.0, 5)])
@@ -281,13 +274,12 @@ class TestThomasSolve:
                           history=zero_history)
         sys = assemble_system(prob, 0.002, 0.0, include_reaction).factorize()
         assert len(sys._factor) == route
-        dense = np.diag(sys.diag) + np.diag(sys.sub, -1) + np.diag(sys.sup, 1)
         rhs = np.cos(np.arange(20.0))
         assert thomas_solve(sys, rhs) == pytest.approx(
-            np.linalg.solve(dense, rhs), rel=1e-12)
+            np.linalg.solve(_dense(sys), rhs), rel=1e-12)
 
     def test_single_cell_zero_diagonal_rejected(self):
-        sys = Tridiag(sub=np.zeros(0), diag=np.array([0.0]), sup=np.zeros(0))
+        sys = Tridiag(diag=np.array([0.0]), off=np.zeros(0))
         with pytest.raises(SingularSystemError):
             sys.factorize()
 
@@ -339,6 +331,29 @@ class TestFieldSteps:
             u = rng.standard_normal(nx)
             out = ie_pde_step(u, self._buffer(nx), h, prob, h)
             assert np.abs(out).max() <= np.abs(u).max() + 1e-12
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 12), st.floats(0.0, 2.0), st.floats(1e-3, 0.5),
+           st.floats(-2.0, 3.0), st.integers(0, 2**32 - 1))
+    # h lambda0 = 1.2: the system is negative definite and takes pivoted LU,
+    # padded below n = 3.
+    @example(2, 0.02, 0.002, 1.2, 0)
+    @example(1, 0.0, 0.1, 1.2, 1)
+    def test_cached_route_matches_the_dense_route(self, nx, kappa, h, h_lambda0, seed):
+        prob = PdeProblem(kappa=kappa, lambda0=h_lambda0 / h, b=-0.8, tau=-h,
+                          Nx=nx, history=zero_history)
+        sys = assemble_system(prob, h, h, include_reaction=True)
+        dense = _dense(sys)
+        cond = np.linalg.cond(dense)
+        if not cond < 1e10:
+            return
+        rng = np.random.default_rng(seed)
+        u, delayed = rng.standard_normal((2, nx))
+        cached = ie_pde_step(u, RingBuffer([delayed]), h, prob, h, cache=sys.factorize())
+        ref = ie_pde_step(u, RingBuffer([delayed]), h, prob, h, cache=None)
+        assert np.abs(cached - ref).max() <= 1e-12 * cond * np.abs(ref).max()
+        # L D L^T exactly for the positive definite systems.
+        assert (len(sys._factor) == 2) == (np.linalg.eigvalsh(dense).min() > 0)
 
     def test_splitting_respects_the_sup_norm_budget(self):
         u1, u0, hist_max, prob, h = self._one_benchmark_splitting_step()
@@ -430,7 +445,7 @@ class TestRunPde:
         prob = PdeProblem(kappa=0.02, lambda0=600.0, b=-0.8, tau=-0.6, Nx=20,
                           history=oscillating_history)
         sys = assemble_system(prob, h, 0.0, include_reaction=True)
-        assert sys.diag.max() + 2.0 * np.abs(sys.sub).max() < 0
+        assert sys.diag.max() + 2.0 * np.abs(sys.off).max() < 0
         res = run_pde(prob, SchemeConfig(h=h, T=n_steps * h, scheme="ie"))
         assert res.final == pytest.approx(_dense_ie_run(prob, h, n_steps), rel=1e-12)
 
@@ -482,7 +497,9 @@ class TestRunPde:
             lambda t: oscillating_history(t, xg), grid)
         u = np.asarray(oscillating_history(0.0, xg))
         for n in range(round(T / h)):
-            u = ie_pde_step(u, buffer, (n + 1) * h, prob, h, cache=None)
+            fresh = assemble_system(prob, h, (n + 1) * h,
+                                    include_reaction=True).factorize()
+            u = ie_pde_step(u, buffer, (n + 1) * h, prob, h, fresh)
         assert np.array_equal(u, res.final)
 
     @pytest.mark.parametrize("scheme, lambda1, count", [

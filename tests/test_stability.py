@@ -21,8 +21,6 @@ from ddesplit.stability import (
     defect_norm,
     estimate_os_norm,
     spectral_radius,
-    verify_abel,
-    verify_telescoping,
 )
 
 from conftest import SCALAR_A, SCALAR_B, SCALAR_TAU
@@ -31,6 +29,8 @@ from dense_stability import (
     inf_norm,
     power_norm_sum,
     stability_profiles,
+    verify_abel,
+    verify_telescoping,
 )
 
 
@@ -71,15 +71,6 @@ class TestCompanionOperator:
         ])
         assert np.array_equal(mat, expected)
         assert op.dimension == 4
-
-    @pytest.mark.parametrize("m", [1, 2, 5, 17])
-    def test_apply_matches_dense(self, m):
-        op = CompanionOperator(m=m, alpha=0.97, beta=-0.2)
-        mat = op.dense()
-        rng = np.random.default_rng(100 + m)
-        for _ in range(25):
-            x = rng.standard_normal(m + 1)
-            assert op.apply(x) == pytest.approx(mat @ x, rel=1e-14, abs=1e-15)
 
 
 @st.composite
