@@ -73,6 +73,7 @@ _negative = _checked(float, lambda v: v < 0, "negative")
 _positive = _checked(float, lambda v: v > 0, "positive")
 _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
 _non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_median_reps = _checked(int, lambda v: v >= 3, "at least 3 for a median")
 
 
 def _float_list(text: str) -> list:
@@ -206,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="step override (default per target)")
     p.add_argument("--T", type=_positive, default=None,
                    help="horizon override (default per target)")
-    p.add_argument("--reps", type=_positive_int, default=3)
+    p.add_argument("--reps", type=_median_reps, default=3)
     _add_output_flags(p, formats=("json",), default="json")
     return top
 

@@ -8,9 +8,10 @@ each at the time level ``SchemeConfig.level`` of its reaction coefficient.
 
 * implicit Euler (level 1): one backward step of the full stiff part.  A
   step handed the factored system substitutes against it; a step handed
-  none assembles the system at the new time and solves it densely.
-  ``run_pde`` hands over the factors exactly when the reaction coefficient
-  is constant.
+  none assembles the system at the new time and solves it as a dense
+  symmetric matrix by Bunch-Kaufman pivoting (LAPACK ``dsysv``), which
+  takes definite and indefinite systems alike.  ``run_pde`` hands over the
+  factors exactly when the reaction coefficient is constant.
 * Lie-Trotter splitting (level 0): cached implicit diffusion solve,
   ring-buffer transport shift, then a pointwise algebraic reaction/delay
   update with the coefficient frozen at the old time level.
@@ -44,8 +45,8 @@ from .history import DelayGrid, RingBuffer, init_from_history
 from .scalar import EPS_DEN, SchemeConfig
 
 # ``scipy.linalg.lapack``, bound by ``_load_lapack`` at the first
-# factorization: importing scipy.linalg costs about 0.4 s, which runs that
-# never factor a tridiagonal system should not pay.
+# factorization or unfactored ie step: importing scipy.linalg costs about
+# 0.4 s, which runs that never solve a field system should not pay.
 lapack = None
 
 
@@ -201,21 +202,28 @@ def ie_pde_step(u_n: np.ndarray, buffer: RingBuffer, t_new: float,
     Shifts the buffer (pushing ``u_n``), reads the post-shift oldest field as
     the delayed value, and solves (I - h kappa Delta_h - h lambda(t_new)) u =
     u_n + h b u_delay.  A factored ``cache`` of that system is substituted
-    by ``thomas_solve``; without one the system is assembled at ``t_new``
-    and solved densely.
+    by ``thomas_solve``.  Without one the system is assembled at ``t_new``
+    and its lower triangle solved by one ``dsysv`` call, which factors the
+    Fortran-order array in place (``overwrite_a``, no copy); the default
+    workspace selects the unblocked ``dsytf2``, which skips the zero columns
+    below the sub-diagonal.  An exactly singular system raises
+    ``SingularSystemError``.
     """
     buffer.push(u_n)
     rhs = u_n + h * problem.b * buffer[0]
     if cache is not None:
         return thomas_solve(cache, rhs)
+    _load_lapack()
     sys = assemble_system(problem, h, t_new, include_reaction=True)
-    dense = np.diag(sys.diag)
-    idx = np.arange(problem.Nx - 1)
-    dense[idx + 1, idx] = dense[idx, idx + 1] = sys.off
-    try:
-        return np.linalg.solve(dense, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"singular system at t = {t_new}: {exc}") from exc
+    n = problem.Nx
+    dense = np.zeros((n, n), order="F")
+    idx = np.arange(n)
+    dense[idx, idx] = sys.diag
+    dense[idx[1:], idx[:-1]] = sys.off
+    _, _, x, info = lapack.dsysv(dense, rhs, lower=1, overwrite_a=1)
+    if info != 0:
+        raise SingularSystemError(f"singular system at t = {t_new} (info={info})")
+    return x
 
 
 def lt_pde_step(u_n: np.ndarray, buffer: RingBuffer, t_n: float,

@@ -65,6 +65,9 @@ class TestParsing:
         ["oracle", "--t0", "nan"],
         ["oracle", "--t1", "inf"],
         ["growth-fit", "--t-start", "nan"],
+        # compare_runtime needs three runs for a median.
+        ["timing", "--reps", "1"],
+        ["timing", "--reps", "2"],
     ])
     def test_usage_errors_exit_with_code_two(self, argv):
         with pytest.raises(SystemExit) as exc:

@@ -355,6 +355,39 @@ class TestFieldSteps:
         # L D L^T exactly for the positive definite systems.
         assert (len(sys._factor) == 2) == (np.linalg.eigvalsh(dense).min() > 0)
 
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 12), st.floats(0.0, 2.0), st.floats(1e-3, 0.5),
+           st.floats(-2.0, 3.0), st.integers(0, 2**32 - 1))
+    # h lambda(t_new) = 1.2 with and without diffusion: negative definite.
+    @example(2, 0.02, 0.002, 1.2, 0)
+    @example(1, 0.0, 0.1, 1.2, 1)
+    # Indefinite: the smallest diffusion modes sit below h lambda, the rest above.
+    @example(12, 0.05, 0.1, 1.5, 2)
+    def test_uncached_route_matches_a_dense_solve(self, nx, kappa, h, h_lambda, seed):
+        # A modulated problem whose reaction at t_new = h gives h lambda.
+        lambda1, period = 0.3, 4.0
+        lambda0 = h_lambda / h - lambda1 * math.sin(2.0 * math.pi * h / period)
+        prob = PdeProblem(kappa=kappa, lambda0=lambda0, lambda1=lambda1,
+                          T_lambda=period, b=-0.8, tau=-2.0 * h, Nx=nx,
+                          history=zero_history)
+        dense = _dense(assemble_system(prob, h, h, include_reaction=True))
+        cond = np.linalg.cond(dense)
+        if not cond < 1e10:
+            return
+        rng = np.random.default_rng(seed)
+        u, delayed = rng.standard_normal((2, nx))
+        x = ie_pde_step(u, RingBuffer([np.zeros(nx), delayed]), h, prob, h, cache=None)
+        ref = np.linalg.solve(dense, u + h * prob.b * delayed)
+        assert np.abs(x - ref).max() <= 1e-12 * cond * np.abs(ref).max()
+
+    @pytest.mark.parametrize("nx", [1, 2, 3, 4])
+    def test_singular_uncached_system_raises_package_error(self, nx):
+        # kappa 0 and lambda(0.5) = 2 at h 0.5 zero the whole matrix.
+        prob = PdeProblem(kappa=0.0, lambda0=1.0, lambda1=1.0, T_lambda=2.0, b=0.0,
+                          tau=-1.0, Nx=nx, history=zero_history)
+        with pytest.raises(SingularSystemError, match=r"t = 0\.5 \(info=1\)"):
+            ie_pde_step(np.ones(nx), self._buffer(nx), 0.5, prob, 0.5)
+
     def test_splitting_respects_the_sup_norm_budget(self):
         u1, u0, hist_max, prob, h = self._one_benchmark_splitting_step()
         budget = (np.abs(u0).max() + h * abs(prob.b) * hist_max) \
@@ -506,7 +539,8 @@ class TestRunPde:
         ("ie", 0.0, 1), ("lt", 0.0, 1), ("lt", 0.2, 1), ("ie", 0.2, 0)])
     def test_factorizations_per_run(self, scheme, lambda1, count, monkeypatch):
         # Both presets (lambda1 0 and 0.2) on a 100-step horizon.  The
-        # modulated ie step solves a dense system and factors nothing.
+        # modulated ie step solves a dense system and factors nothing
+        # through Tridiag.factorize.
         calls = []
         factorize = Tridiag.factorize
 
