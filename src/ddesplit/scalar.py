@@ -10,15 +10,21 @@ maps are provided in two realizations each:
 * kernel mode: the history is carried as a sampled segment and advanced by
   the closed-form transport resolvent; the delayed coupling enters through
   an exponentially weighted integral of the previous segment.
+
+Both run loops read the frozen coefficients a(t_{n+level}) from one stream,
+built 4096 steps at a time.  The grid loop tests finiteness once per chunk,
+on its last value, and scans a failed chunk for its first non-finite step;
+the kernel loop tests every step.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Iterable, Iterator, Tuple
 
 import numpy as np
 
@@ -183,46 +189,79 @@ def _diverged(step: int) -> DivergenceError:
     return DivergenceError(f"non-finite value at step {step}", step=step)
 
 
+# Steps per chunk of frozen coefficients.  It bounds the list a linear a(t)
+# builds at once, and the grid loop tests finiteness once per chunk.
+_CHUNK = 4096
+
+
+def _frozen_coefficients(problem: ScalarDelayProblem,
+                         config: SchemeConfig) -> Iterator[Iterable[float]]:
+    """Yield a(t_{n+level}) for n < n_steps, in chunks of ``_CHUNK`` steps.
+
+    This is the one place that sets the time level of the frozen coefficient.
+    The linear law rounds exactly as the float expression a * ((n + level) * h)
+    does: the integer step index converts to float64 exactly, and each
+    product is one float64 multiply that may overflow to inf, as floats do.
+    """
+    a, h, level, n_steps = problem.a, config.h, config.level, config.n_steps
+    for k0 in range(0, n_steps, _CHUNK):
+        k1 = min(k0 + _CHUNK, n_steps)
+        if problem.a_mode == "linear":
+            with np.errstate(over="ignore"):
+                chunk = (a * ((np.arange(k0, k1) + level) * h)).tolist()
+            yield chunk
+        else:
+            yield itertools.repeat(a, k1 - k0)
+
+
 def _run_grid(problem: ScalarDelayProblem, config: SchemeConfig) -> np.ndarray:
     grid = DelayGrid(config.h, problem.tau)
     buffer = init_from_history(problem.history, grid)
-    h, a, b = config.h, problem.a, problem.b
-    linear = problem.a_mode == "linear"
+    h, b, level = config.h, problem.b, config.level
     push, isfinite = buffer.push, math.isfinite
-    level = config.level
     step = ie_step if level else lt_step
     u = float(problem.history(0.0))
-    if not math.isfinite(u):
+    if not isfinite(u):
         raise _diverged(0)
     values = array("d", [u])
-    for n in range(config.n_steps):
-        if level:
-            push(u)
-        u_delay = delayed_value(buffer, grid)
-        if not level:
-            push(u)
-        u = step(u, u_delay, a * ((n + level) * h) if linear else a, b, h)
+    append = values.append
+    # The update (u + h b u_delay)/(1 - h a) maps a non-finite u to a
+    # non-finite value, so a chunk whose last value is finite was finite
+    # throughout, and a non-finite chunk is scanned for its first bad step.
+    for coefficients in _frozen_coefficients(problem, config):
+        start = len(values)
+        try:
+            for a_frozen in coefficients:
+                if level:
+                    push(u)
+                u_delay = delayed_value(buffer, grid)
+                if not level:
+                    push(u)
+                u = step(u, u_delay, a_frozen, b, h)
+                append(u)
+        except SingularStepError:
+            # A divergence earlier in the chunk came first: report that.
+            if isfinite(u):
+                raise
         if not isfinite(u):
-            raise _diverged(n + 1)
-        values.append(u)
+            raise _diverged(next(k for k in range(start, len(values))
+                                 if not isfinite(values[k])))
     return np.frombuffer(values)
 
 
 def _run_kernel(problem: ScalarDelayProblem, config: SchemeConfig) -> np.ndarray:
     grid = DelayGrid(config.h, problem.tau)
     seg = segment_from_history(problem.history, grid)
-    h, a, b = config.h, problem.a, problem.b
-    linear = problem.a_mode == "linear"
+    b = problem.b
     u = float(problem.history(0.0))
     if not math.isfinite(u):
         raise _diverged(0)
     values = array("d", [u])
-    level = config.level
-    step = ie_step_kernel if level else lt_step_kernel
-    for n in range(config.n_steps):
-        u, seg = step(u, seg, a * ((n + level) * h) if linear else a, b, grid)
+    step = ie_step_kernel if config.level else lt_step_kernel
+    for a_frozen in itertools.chain.from_iterable(_frozen_coefficients(problem, config)):
+        u, seg = step(u, seg, a_frozen, b, grid)
         if not math.isfinite(u):
-            raise _diverged(n + 1)
+            raise _diverged(len(values))
         values.append(u)
     return np.frombuffer(values)
 

@@ -1,9 +1,13 @@
 """One-step maps and run loops of the scalar delay equation."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddesplit.errors import DivergenceError, ParameterError, SingularStepError
 from ddesplit.history import (
@@ -255,12 +259,84 @@ class TestRunGrid:
             run(prob, SchemeConfig(h=0.3, T=3.0, scheme="ie"))
         assert exc.value.step == 1
 
+    # u' = a t u: the steps divide by 1 - h a t_k, which reaches 0 at t = 2,
+    # the new level of ie's step 4 and the old level of lt's step 5.
+    @pytest.mark.parametrize("scheme,step", [("ie", 2), ("lt", 3)])
+    def test_divergence_before_a_singular_step_is_reported(self, scheme, step):
+        prob = ScalarDelayProblem(a=1.0, b=0.0, tau=-1.0, history=lambda t: 1e308,
+                                  a_mode="linear")
+        with pytest.raises(DivergenceError, match=f"step {step}$") as exc:
+            run(prob, SchemeConfig(h=0.5, T=3.0, scheme=scheme))
+        assert exc.value.step == step
+
+    @pytest.mark.parametrize("scheme", ["ie", "lt"])
+    def test_singular_step_of_a_finite_run_is_reported(self, scheme):
+        prob = ScalarDelayProblem(a=1.0, b=0.0, tau=-1.0, history=lambda t: 1.0,
+                                  a_mode="linear")
+        with pytest.raises(SingularStepError):
+            run(prob, SchemeConfig(h=0.5, T=3.0, scheme=scheme))
+
+    # With b = 0 every step multiplies u by 1/(1 - h a) = 8/7, so u_0 =
+    # DBL_MAX (7/8)^(step - 1/2) first overflows at ``step``: the last step
+    # of the first 4096-step chunk, the first of the second, and its last.
+    @pytest.mark.parametrize("scheme", ["ie", "lt"])
+    @pytest.mark.parametrize("step", [4096, 4097, 8192])
+    def test_divergence_at_a_chunk_edge_reports_the_step(self, scheme, step):
+        u0 = math.exp(math.log(sys.float_info.max) + (step - 0.5) * math.log(0.875))
+        prob = ScalarDelayProblem(a=0.25, b=0.0, tau=-1.0, history=lambda t: u0)
+        with pytest.raises(DivergenceError, match=f"step {step}$") as exc:
+            run(prob, SchemeConfig(h=0.5, T=0.5 * (step + 3), scheme=scheme))
+        assert exc.value.step == step
+
+    # The buffer holds history(tau + j h) and interpolates as if those were
+    # the samples at the grid times -(m + 1 - j) h, which lie h - delta below.
+    @pytest.mark.xfail(strict=True,
+                       reason="fractional-lag read off by the sample offset: with "
+                              "h = 0.1, tau = -0.25 and history t -> t, lt's read "
+                              "at t_0 gives -0.20 where u(-0.25) = -0.25, and "
+                              "ie's read at t_1 gives -0.10 where u(-0.15) = -0.15")
+    @pytest.mark.parametrize("scheme,exact", [("lt", -0.25), ("ie", -0.15)])
+    def test_fractional_lag_reads_the_delayed_time(self, scheme, exact):
+        # a = 0, b = 1: u_1 = u_0 + h u_delay with u_0 = 0.
+        prob = ScalarDelayProblem(a=0.0, b=1.0, tau=-0.25, history=lambda t: t)
+        u1 = run(prob, SchemeConfig(h=0.1, T=0.1, scheme=scheme)).values[1]
+        assert u1 / 0.1 == pytest.approx(exact, rel=1e-12)
+
     def test_wall_clock_recorded(self):
         prob = ScalarDelayProblem(a=-1.0, b=0.0, tau=-0.5,
                                   history=lambda t: 1.0)
         res = run(prob, SchemeConfig(h=0.1, T=1.0))
         assert res.wall_clock > 0.0
         assert res.scheme == "ie-grid"
+
+
+def _run_by_hand(prob, cfg):
+    """``run(prob, cfg).values``, from the public one-step maps in a plain loop."""
+    h, ie = cfg.h, cfg.scheme == "ie"
+    grid = DelayGrid(h, prob.tau)
+    u = prob.history(0.0)
+    expected = [u]
+    if cfg.delay_mode == "kernel":
+        seg = segment_from_history(prob.history, grid)
+        for n in range(cfg.n_steps):
+            if ie:
+                u, seg = ie_step_kernel(u, seg, prob.a_of((n + 1) * h), prob.b, grid)
+            else:
+                u, seg = lt_step_kernel(u, seg, prob.a_of(n * h), prob.b, grid)
+            expected.append(u)
+        return expected
+    buffer = init_from_history(prob.history, grid)
+    for n in range(cfg.n_steps):
+        if ie:
+            buffer.push(u)
+            u = ie_step(u, delayed_value(buffer, grid), prob.a_of((n + 1) * h),
+                        prob.b, h)
+        else:
+            u_delay = delayed_value(buffer, grid)
+            buffer.push(u)
+            u = lt_step(u, u_delay, prob.a_of(n * h), prob.b, h)
+        expected.append(u)
+    return expected
 
 
 class TestRunLoopsBits:
@@ -273,40 +349,44 @@ class TestRunLoopsBits:
     def test_grid_run_equals_the_step_maps(self, scheme, tau):
         prob = ScalarDelayProblem(a=-0.9, b=-2.0, tau=tau, history=poly_history,
                                   a_mode="linear")
-        h, T = 0.05, 20.0
-        res = run(prob, SchemeConfig(h=h, T=T, scheme=scheme))
-        grid = DelayGrid(h, tau)
-        buffer = init_from_history(prob.history, grid)
-        u = prob.history(0.0)
-        expected = [u]
-        for n in range(round(T / h)):
-            if scheme == "ie":
-                buffer.push(u)
-                u = ie_step(u, delayed_value(buffer, grid), prob.a_of((n + 1) * h),
-                            prob.b, h)
-            else:
-                u_delay = delayed_value(buffer, grid)
-                buffer.push(u)
-                u = lt_step(u, u_delay, prob.a_of(n * h), prob.b, h)
-            expected.append(u)
-        assert np.array_equal(res.values, expected)
+        cfg = SchemeConfig(h=0.05, T=20.0, scheme=scheme)
+        assert np.array_equal(run(prob, cfg).values, _run_by_hand(prob, cfg))
 
     @pytest.mark.parametrize("scheme", ["ie", "lt"])
     def test_kernel_run_equals_the_step_maps(self, scheme):
         prob = ScalarDelayProblem(a=-0.9, b=-2.0, tau=-0.25, history=poly_history,
                                   a_mode="linear")
-        h, T = 0.05, 20.0
-        res = run(prob, SchemeConfig(h=h, T=T, scheme=scheme, delay_mode="kernel"))
-        grid = DelayGrid(h, prob.tau)
-        seg = segment_from_history(prob.history, grid)
-        step = ie_step_kernel if scheme == "ie" else lt_step_kernel
-        u = prob.history(0.0)
-        expected = [u]
-        for n in range(round(T / h)):
-            t_frozen = (n + 1) * h if scheme == "ie" else n * h
-            u, seg = step(u, seg, prob.a_of(t_frozen), prob.b, grid)
-            expected.append(u)
-        assert np.array_equal(res.values, expected)
+        cfg = SchemeConfig(h=0.05, T=20.0, scheme=scheme, delay_mode="kernel")
+        assert np.array_equal(run(prob, cfg).values, _run_by_hand(prob, cfg))
+
+    # a(t) = a t overflows to inf from t = 2 on, silently as a float product
+    # does; the denominator -inf then sends u to zero.
+    @pytest.mark.parametrize("scheme", ["ie", "lt"])
+    def test_overflowing_linear_coefficient_warns_nothing(self, scheme):
+        prob = ScalarDelayProblem(a=1e308, b=0.0, tau=-1.0, history=lambda t: 1.0,
+                                  a_mode="linear")
+        cfg = SchemeConfig(h=1.0, T=4.0, scheme=scheme)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = run(prob, cfg).values
+        assert np.array_equal(values, _run_by_hand(prob, cfg))
+
+    # The loops take a(.) in chunks of 4096 steps; these step counts end one
+    # short of, on, and one past a chunk boundary, and inside a third chunk.
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(st.sampled_from(["ie", "lt"]), st.sampled_from(["grid", "kernel"]),
+           st.sampled_from(["constant", "linear"]),
+           st.sampled_from([4095, 4096, 4097, 8195]), st.floats(1e-3, 4e-3),
+           st.integers(1, 12), st.sampled_from([0.0, 0.37]),
+           st.floats(-1.0, 0.1), st.floats(-3.0, 3.0))
+    def test_run_equals_the_step_maps_across_chunks(self, scheme, mode, a_mode,
+                                                    n_steps, h, m, frac, a, b):
+        lag = m + (frac if mode == "grid" else 0.0)
+        prob = ScalarDelayProblem(a=a, b=b, tau=-lag * h, history=poly_history,
+                                  a_mode=a_mode)
+        cfg = SchemeConfig(h=h, T=n_steps * h, scheme=scheme, delay_mode=mode)
+        assert cfg.n_steps == n_steps
+        assert np.array_equal(run(prob, cfg).values, _run_by_hand(prob, cfg))
 
     # First non-finite step of u' = 0.5 u + 3 u(t - 0.05), history 1 + t,
     # h = 1e-2, T = 400, as recorded before the loops were rewritten.
