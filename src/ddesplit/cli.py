@@ -69,8 +69,8 @@ def _checked(convert, ok, what: str):
 
 
 _finite = _checked(float, math.isfinite, "finite")
-_negative = _checked(float, lambda v: v < 0, "negative")
-_positive = _checked(float, lambda v: v > 0, "positive")
+_negative = _checked(float, lambda v: -math.inf < v < 0, "finite and negative")
+_positive = _checked(float, lambda v: 0 < v < math.inf, "finite and positive")
 _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
 _non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _median_reps = _checked(int, lambda v: v >= 3, "at least 3 for a median")
@@ -97,7 +97,7 @@ def _add_history_flags(p: argparse.ArgumentParser, default: str = "poly10") -> N
     p.add_argument("--history", choices=["poly10", "const", "zero"],
                    default=default,
                    help="history profile on [tau, 0] (default: %(default)s)")
-    p.add_argument("--history-value", type=float, default=1.0,
+    p.add_argument("--history-value", type=_finite, default=1.0,
                    help="value used by --history const (default: %(default)s)")
 
 
@@ -110,11 +110,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scalar", help="run the scalar delay equation")
     p.add_argument("--scheme", choices=["ie", "lt"], default="ie")
     p.add_argument("--delay-mode", choices=["grid", "kernel"], default="grid")
-    p.add_argument("--a", type=float, default=SCALAR_DEFAULTS["a"],
+    p.add_argument("--a", type=_finite, default=SCALAR_DEFAULTS["a"],
                    help="reaction coefficient")
     p.add_argument("--a-mode", choices=["constant", "linear"], default="constant",
                    help="constant a or the law a(t) = a*t")
-    p.add_argument("--b", type=float, default=SCALAR_DEFAULTS["b"],
+    p.add_argument("--b", type=_finite, default=SCALAR_DEFAULTS["b"],
                    help="delay coefficient")
     p.add_argument("--tau", type=_negative, default=SCALAR_DEFAULTS["tau"],
                    help="delay (< 0)")
@@ -135,12 +135,12 @@ def _build_parser() -> argparse.ArgumentParser:
                             "lambda1 to 0 or 0.2 unless --lambda1 is given; other "
                             "explicit flags override the benchmark defaults")
     p.add_argument("--kappa", type=_positive, default=PDE_DEFAULTS["kappa"])
-    p.add_argument("--lambda0", type=float, default=PDE_DEFAULTS["lambda0"])
-    p.add_argument("--lambda1", type=float, default=None,
+    p.add_argument("--lambda0", type=_finite, default=PDE_DEFAULTS["lambda0"])
+    p.add_argument("--lambda1", type=_finite, default=None,
                    help="modulation amplitude (default: 0.2 for nonauto, 0 for auto)")
     p.add_argument("--T-lambda", type=_positive, default=PDE_DEFAULTS["T_lambda"],
                    dest="T_lambda", help="modulation period")
-    p.add_argument("--b", type=float, default=PDE_DEFAULTS["b"])
+    p.add_argument("--b", type=_finite, default=PDE_DEFAULTS["b"])
     p.add_argument("--tau", type=_negative, default=PDE_DEFAULTS["tau"])
     p.add_argument("--h", type=_positive, default=PDE_DEFAULTS["h"])
     p.add_argument("--T", type=_positive, default=PDE_DEFAULTS["T"])
@@ -151,8 +151,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
 
     p = sub.add_parser("stability", help="one-step operator diagnostics")
-    p.add_argument("--a", type=float, default=SCALAR_DEFAULTS["a"])
-    p.add_argument("--b", type=float, default=SCALAR_DEFAULTS["b"])
+    p.add_argument("--a", type=_finite, default=SCALAR_DEFAULTS["a"])
+    p.add_argument("--b", type=_finite, default=SCALAR_DEFAULTS["b"])
     p.add_argument("--tau", type=_negative, default=SCALAR_DEFAULTS["tau"])
     p.add_argument("--h", type=_positive, default=SCALAR_DEFAULTS["h"])
     p.add_argument("--profile-n", type=_non_negative_int, default=0,
@@ -163,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="semi-analytic benchmark values")
     p.add_argument("--a", type=_negative, default=-0.15)
-    p.add_argument("--b", type=float, default=-6.0)
+    p.add_argument("--b", type=_finite, default=-6.0)
     p.add_argument("--tau", type=_negative, default=-8.0)
     p.add_argument("--omega-max", type=_positive, default=4.0, dest="omega_max")
     p.add_argument("--n-nodes", type=_positive_int, default=2001, dest="n_nodes")
@@ -174,9 +174,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
 
     p = sub.add_parser("convergence", help="order study between two variants")
-    p.add_argument("--a", type=float, default=-0.15)
+    p.add_argument("--a", type=_finite, default=-0.15)
     p.add_argument("--a-mode", choices=["constant", "linear"], default="constant")
-    p.add_argument("--b", type=float, default=-6.0)
+    p.add_argument("--b", type=_finite, default=-6.0)
     p.add_argument("--tau", type=_negative, default=-8.0)
     p.add_argument("--T", type=_positive, default=20.0)
     p.add_argument("--h-list", type=_float_list, default="0.1,0.05,0.025,0.0125",
@@ -188,9 +188,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("growth-fit", help="exponential growth rate of a run")
     p.add_argument("--scheme", choices=["ie", "lt"], default="ie")
-    p.add_argument("--a", type=float, default=-0.15)
+    p.add_argument("--a", type=_finite, default=-0.15)
     p.add_argument("--a-mode", choices=["constant", "linear"], default="constant")
-    p.add_argument("--b", type=float, default=-6.0)
+    p.add_argument("--b", type=_finite, default=-6.0)
     p.add_argument("--tau", type=_negative, default=-8.0)
     p.add_argument("--h", type=_positive, default=0.01)
     p.add_argument("--T", type=_positive, default=200.0)

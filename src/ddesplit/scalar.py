@@ -4,9 +4,7 @@ The model is u'(t) = a(t) u(t) + b u(t + tau) with tau < 0.  Two one-step
 maps are provided in two realizations each:
 
 * grid mode: the delayed value is an exact ring-buffer read.  Both schemes
-  take one step at the time level ``SchemeConfig.level``: implicit Euler (1)
-  reads the post-shift oldest entry (index n+1-m) and a(.) at the new time,
-  Lie-Trotter (0) the pre-shift oldest entry (index n-m) and a(.) at the old.
+  take the same step; they differ only in ``SchemeConfig.level``.
 * kernel mode: the history is carried as a sampled segment and advanced by
   the closed-form transport resolvent; the delayed coupling enters through
   an exponentially weighted integral of the previous segment.
@@ -37,6 +35,7 @@ from .errors import (
 from .history import (
     SNAP_RTOL,
     DelayGrid,
+    RingBuffer,
     delay_kernel_integral,
     delayed_value,
     init_from_history,
@@ -69,9 +68,6 @@ class ScalarDelayProblem:
         if self.a_mode not in ("constant", "linear"):
             raise ParameterError(f"unknown a_mode {self.a_mode!r}")
 
-    def a_of(self, t: float) -> float:
-        return self.a * t if self.a_mode == "linear" else self.a
-
 
 @dataclass
 class SchemeConfig:
@@ -100,8 +96,10 @@ class SchemeConfig:
 
     @property
     def level(self) -> int:
-        """1 (new) for ie, 0 (old) for lt: the time level of a(.) and, in grid
-        mode, of the delayed read (ie pushes u_n before it, lt after)."""
+        """1 (new) for ie, 0 (old) for lt: the time level of a(.) and of the
+        delayed read, which ie takes after the history shift, at t_{n+1} + tau,
+        and lt before it, at t_n + tau.  Grid runs realize the read level as
+        the buffer depth: lt's buffer holds one entry more."""
         return 1 if self.scheme == "ie" else 0
 
 
@@ -137,9 +135,7 @@ class RunResult:
 def ie_step(u_n: float, u_delay: float, a_frozen: float, b: float, h: float) -> float:
     """Grid-mode update (u_n + h b u_delay)/(1 - h a_frozen) of both schemes.
 
-    Implicit Euler passes the post-shift oldest entry (index n+1-m) and a(.)
-    at the new time level; Lie-Trotter (``lt_step``) passes the pre-shift
-    oldest entry (index n-m) and a(.) at the old level.
+    Each scheme takes u_delay and a_frozen at its ``SchemeConfig.level``.
     """
     den = 1.0 - h * a_frozen
     if abs(den) <= EPS_DEN:
@@ -218,6 +214,10 @@ def _run_grid(problem: ScalarDelayProblem, config: SchemeConfig) -> np.ndarray:
     grid = DelayGrid(config.h, problem.tau)
     buffer = init_from_history(problem.history, grid)
     h, b, level = config.h, problem.b, config.level
+    if not level:
+        # One entry deeper, so that after pushing u_n the oldest entries reach
+        # back to t_n + tau; the first push drops the extra entry unread.
+        buffer = RingBuffer([buffer[0], *buffer])
     push, isfinite = buffer.push, math.isfinite
     step = ie_step if level else lt_step
     u = float(problem.history(0.0))
@@ -232,12 +232,8 @@ def _run_grid(problem: ScalarDelayProblem, config: SchemeConfig) -> np.ndarray:
         start = len(values)
         try:
             for a_frozen in coefficients:
-                if level:
-                    push(u)
-                u_delay = delayed_value(buffer, grid)
-                if not level:
-                    push(u)
-                u = step(u, u_delay, a_frozen, b, h)
+                push(u)
+                u = step(u, delayed_value(buffer, grid), a_frozen, b, h)
                 append(u)
         except SingularStepError:
             # A divergence earlier in the chunk came first: report that.

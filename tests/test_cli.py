@@ -68,6 +68,20 @@ class TestParsing:
         # compare_runtime needs three runs for a median.
         ["timing", "--reps", "1"],
         ["timing", "--reps", "2"],
+        # Infinite or NaN numbers are usage errors, not numerical failures.
+        ["scalar", "--h", "inf"],
+        ["scalar", "--T", "inf"],
+        ["scalar", "--tau=-inf"],
+        ["scalar", "--a", "nan"],
+        ["scalar", "--b", "inf"],
+        ["scalar", "--history", "const", "--history-value", "nan"],
+        ["pde", "--kappa", "inf"],
+        ["pde", "--lambda0", "nan"],
+        ["pde", "--lambda1=-inf"],
+        ["pde", "--b", "nan"],
+        ["stability", "--a", "inf"],
+        ["oracle", "--a=-inf"],
+        ["growth-fit", "--b", "nan"],
     ])
     def test_usage_errors_exit_with_code_two(self, argv):
         with pytest.raises(SystemExit) as exc:

@@ -1,12 +1,13 @@
 """One-step maps and run loops of the scalar delay equation."""
 
+import itertools
 import math
 import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddesplit.errors import DivergenceError, ParameterError, SingularStepError
@@ -23,6 +24,7 @@ from ddesplit.scalar import (
     ScalarDelayProblem,
     SchemeConfig,
     StepCoefficients,
+    _frozen_coefficients,
     ie_step,
     ie_step_kernel,
     lt_step,
@@ -33,6 +35,11 @@ from ddesplit.scalar import (
 from conftest import SCALAR_A, SCALAR_B, SCALAR_TAU
 
 from reference import rk4_dde_subsampled
+
+
+def _frozen(prob, cfg):
+    """Every frozen coefficient of a run, in step order."""
+    return list(itertools.chain.from_iterable(_frozen_coefficients(prob, cfg)))
 
 
 class TestProblemAndConfig:
@@ -53,16 +60,21 @@ class TestProblemAndConfig:
         with pytest.raises(ParameterError, match=f"{name} must be finite"):
             ScalarDelayProblem(**kw)
 
+    # The frozen coefficients of 4100 steps come in two chunks, 4096 and 4.
     def test_linear_mode_evaluates_a_times_t(self):
         prob = ScalarDelayProblem(a=-0.15, b=0.0, tau=-1.0,
                                   history=lambda t: 0.0, a_mode="linear")
-        assert prob.a_of(4.0) == pytest.approx(-0.6)
-        assert prob.a_of(0.0) == 0.0
+        for scheme, level in (("ie", 1), ("lt", 0)):
+            cfg = SchemeConfig(h=0.01, T=41.0, scheme=scheme)
+            assert _frozen(prob, cfg) == [-0.15 * ((n + level) * 0.01)
+                                          for n in range(4100)]
 
     def test_constant_mode_ignores_time(self):
         prob = ScalarDelayProblem(a=-0.15, b=0.0, tau=-1.0,
                                   history=lambda t: 0.0)
-        assert prob.a_of(123.0) == -0.15
+        for scheme in ("ie", "lt"):
+            cfg = SchemeConfig(h=0.01, T=41.0, scheme=scheme)
+            assert _frozen(prob, cfg) == [-0.15] * 4100
 
     @pytest.mark.parametrize("kwargs", [
         dict(h=0.0, T=1.0), dict(h=0.1, T=0.0), dict(h=2.0, T=1.0),
@@ -314,27 +326,31 @@ def _run_by_hand(prob, cfg):
     """``run(prob, cfg).values``, from the public one-step maps in a plain loop."""
     h, ie = cfg.h, cfg.scheme == "ie"
     grid = DelayGrid(h, prob.tau)
+
+    def a_of(t):
+        return prob.a * t if prob.a_mode == "linear" else prob.a
+
     u = prob.history(0.0)
     expected = [u]
     if cfg.delay_mode == "kernel":
         seg = segment_from_history(prob.history, grid)
         for n in range(cfg.n_steps):
             if ie:
-                u, seg = ie_step_kernel(u, seg, prob.a_of((n + 1) * h), prob.b, grid)
+                u, seg = ie_step_kernel(u, seg, a_of((n + 1) * h), prob.b, grid)
             else:
-                u, seg = lt_step_kernel(u, seg, prob.a_of(n * h), prob.b, grid)
+                u, seg = lt_step_kernel(u, seg, a_of(n * h), prob.b, grid)
             expected.append(u)
         return expected
     buffer = init_from_history(prob.history, grid)
     for n in range(cfg.n_steps):
         if ie:
             buffer.push(u)
-            u = ie_step(u, delayed_value(buffer, grid), prob.a_of((n + 1) * h),
+            u = ie_step(u, delayed_value(buffer, grid), a_of((n + 1) * h),
                         prob.b, h)
         else:
             u_delay = delayed_value(buffer, grid)
             buffer.push(u)
-            u = lt_step(u, u_delay, prob.a_of(n * h), prob.b, h)
+            u = lt_step(u, u_delay, a_of(n * h), prob.b, h)
         expected.append(u)
     return expected
 
@@ -373,12 +389,16 @@ class TestRunLoopsBits:
 
     # The loops take a(.) in chunks of 4096 steps; these step counts end one
     # short of, on, and one past a chunk boundary, and inside a third chunk.
+    # The examples pin lt grid runs at m = 1, whose buffer is the shallowest
+    # that lt's one extra entry deepens.
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(st.sampled_from(["ie", "lt"]), st.sampled_from(["grid", "kernel"]),
            st.sampled_from(["constant", "linear"]),
            st.sampled_from([4095, 4096, 4097, 8195]), st.floats(1e-3, 4e-3),
            st.integers(1, 12), st.sampled_from([0.0, 0.37]),
            st.floats(-1.0, 0.1), st.floats(-3.0, 3.0))
+    @example("lt", "grid", "linear", 4097, 2e-3, 1, 0.0, -0.7, 2.5)
+    @example("lt", "grid", "linear", 4097, 2e-3, 1, 0.37, -0.7, 2.5)
     def test_run_equals_the_step_maps_across_chunks(self, scheme, mode, a_mode,
                                                     n_steps, h, m, frac, a, b):
         lag = m + (frac if mode == "grid" else 0.0)

@@ -407,6 +407,17 @@ class TestCompanionProfiles:
         with pytest.raises(ParameterError):
             companion_profiles(op, checkpoints)
 
+    # alpha 1, beta 0 is the exact grid shift, the transport factor alone.
+    # Row i of its n-th power is e_{i-n} for i >= n and e_0 otherwise, so
+    # n ||Sigma^n - Sigma^{n-1}|| reads 2n up to n = m and 0 after.  The
+    # peak, 2m = 2|tau|/h, is unbounded as h -> 0: the shift is not Ritt.
+    @pytest.mark.parametrize("m", [1, 2, 4, 17, 257, 1028])
+    def test_exact_shift_is_not_ritt_bounded(self, m):
+        _, r = companion_profiles(CompanionOperator(m, 1.0, 0.0), range(1, 3 * m + 3))
+        assert r.max() == 2 * m
+        assert np.array_equal(r[:m], 2.0 * np.arange(1, m + 1))
+        assert not r[m:].any()
+
 
 class TestPowerNormSums:
     def test_identity_sums_to_the_horizon(self):
