@@ -77,12 +77,15 @@ _median_reps = _checked(int, lambda v: v >= 3, "at least 3 for a median")
 
 
 def _float_list(text: str) -> list:
-    """Argparse type: comma-separated numbers, with no empty item."""
+    """Argparse type: comma-separated finite numbers, with no empty item."""
     try:
-        return [float(tok) for tok in text.split(",")]
+        values = [float(tok) for tok in text.split(",")]
     except ValueError:
+        values = None
+    if values is None or not all(map(math.isfinite, values)):
         raise argparse.ArgumentTypeError(
-            f"must be comma-separated numbers, got {text!r}") from None
+            f"must be comma-separated finite numbers, got {text!r}")
+    return values
 
 
 def _add_output_flags(p: argparse.ArgumentParser, formats=("csv", "json"),

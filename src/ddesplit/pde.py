@@ -10,8 +10,11 @@ each at the time level ``SchemeConfig.level`` of its reaction coefficient.
   step handed the factored system substitutes against it; a step handed
   none assembles the system at the new time and solves it as a dense
   symmetric matrix by Bunch-Kaufman pivoting (LAPACK ``dsysv``), which
-  takes definite and indefinite systems alike.  ``run_pde`` hands over the
-  factors exactly when the reaction coefficient is constant.
+  takes definite and indefinite systems alike.  That call runs on one
+  OpenBLAS thread: its many small level-2 calls gain nothing from threads,
+  and with them the step's time depended on the thread regime and on
+  host load.  ``run_pde`` hands over the factors exactly when the reaction
+  coefficient is constant.
 * Lie-Trotter splitting (level 0): cached implicit diffusion solve,
   ring-buffer transport shift, then a pointwise algebraic reaction/delay
   update with the coefficient frozen at the old time level.
@@ -27,6 +30,7 @@ pivoting (``dgttrf``/``dgttrs``).
 from __future__ import annotations
 
 import math
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -46,8 +50,14 @@ from .scalar import EPS_DEN, SchemeConfig
 
 # ``scipy.linalg.lapack``, bound by ``_load_lapack`` at the first
 # factorization or unfactored ie step: importing scipy.linalg costs about
-# 0.4 s, which runs that never solve a field system should not pay.
+# 0.1 s, which runs that never solve a field system should not pay.
 lapack = None
+# ``openblas_set_num_threads_local`` of the OpenBLAS bundled with scipy, bound
+# with ``lapack``; None where that library or symbol is absent.  In a pthreads
+# build the count it sets is shared by all threads, so concurrent steps take
+# the lock: otherwise the last to finish could restore another step's 1.
+_set_blas_threads = None
+_blas_threads_lock = threading.Lock()
 
 
 @dataclass
@@ -148,10 +158,28 @@ class Tridiag:
 
 
 def _load_lapack() -> None:
-    """Bind the module global ``lapack`` on first use."""
-    global lapack
+    """Bind the module globals ``lapack`` and ``_set_blas_threads`` on first use."""
+    global lapack, _set_blas_threads
     if lapack is None:
         from scipy.linalg import lapack
+        _set_blas_threads = _openblas_thread_setter()
+
+
+def _openblas_thread_setter():
+    """The ctypes function ``openblas_set_num_threads_local`` of scipy's
+    bundled OpenBLAS (``scipy.libs/libscipy_openblas*``), or None."""
+    import ctypes
+    from pathlib import Path
+
+    import scipy
+    libs = Path(scipy.__file__).parent.parent / "scipy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*")):
+        fn = getattr(ctypes.CDLL(str(lib)), "openblas_set_num_threads_local", None)
+        if fn is not None:
+            fn.argtypes = [ctypes.c_int]
+            fn.restype = ctypes.c_int
+            return fn
+    return None
 
 
 def assemble_system(problem: PdeProblem, h: float, t: float,
@@ -208,6 +236,17 @@ def ie_pde_step(u_n: np.ndarray, buffer: RingBuffer, t_new: float,
     workspace selects the unblocked ``dsytf2``, which skips the zero columns
     below the sub-diagonal.  An exactly singular system raises
     ``SingularSystemError``.
+
+    The ``dsysv`` call runs with the calling thread's OpenBLAS count set to
+    1 by ``openblas_set_num_threads_local``, and the previous count is put
+    back afterwards, also when the call raises.  In a pthreads build of
+    OpenBLAS that count is shared by all threads, so these calls take one
+    lock, and other threads' BLAS calls also run on one thread while it is
+    held.  At Nx 300 the whole step then takes a steady ~106 µs, where the
+    default threads gave ~145 µs or ~390 µs by thread regime, and far
+    more while other processes kept the cores busy; the bits are the same.
+    Where scipy's OpenBLAS lacks the symbol, ``dsysv`` runs with the
+    default threads.
     """
     buffer.push(u_n)
     rhs = u_n + h * problem.b * buffer[0]
@@ -220,7 +259,15 @@ def ie_pde_step(u_n: np.ndarray, buffer: RingBuffer, t_new: float,
     idx = np.arange(n)
     dense[idx, idx] = sys.diag
     dense[idx[1:], idx[:-1]] = sys.off
-    _, _, x, info = lapack.dsysv(dense, rhs, lower=1, overwrite_a=1)
+    if _set_blas_threads is None:
+        _, _, x, info = lapack.dsysv(dense, rhs, lower=1, overwrite_a=1)
+    else:
+        with _blas_threads_lock:
+            previous = _set_blas_threads(1)
+            try:
+                _, _, x, info = lapack.dsysv(dense, rhs, lower=1, overwrite_a=1)
+            finally:
+                _set_blas_threads(previous)
     if info != 0:
         raise SingularSystemError(f"singular system at t = {t_new} (info={info})")
     return x

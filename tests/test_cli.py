@@ -322,10 +322,15 @@ class TestConvergenceOutput:
         assert 0.5 <= data["slope"] <= 1.5
         assert len(data["h"]) == len(data["error"]) == 3
 
-    def test_non_finite_step_is_a_runtime_error(self, capsys):
-        rc = main(["convergence", "--h-list", "0.1,0.05,nan"])
-        assert rc == 1
-        assert "finite and positive" in capsys.readouterr().err
+    @pytest.mark.parametrize("h_list", ["0.1,0.05,nan", "inf,0.05", "0.1,-inf"],
+                             ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_step_is_a_usage_error(self, h_list, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["convergence", "--h-list", h_list])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert (f"argument --h-list: must be comma-separated finite numbers, "
+                f"got {h_list!r}") in err
 
 
 class TestGrowthFitOutput:

@@ -1,12 +1,18 @@
 """Tridiagonal solves, field steps, and full runs of the delayed heat model."""
 
+import ctypes
 import math
+import sys
+import threading
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ddesplit import pde
 from ddesplit.errors import (
     DivergenceError,
     ParameterError,
@@ -284,6 +290,29 @@ class TestThomasSolve:
             sys.factorize()
 
 
+@pytest.fixture
+def blas_threads():
+    """The calling thread's OpenBLAS thread count, read back through
+    ``scipy_openblas_get_num_threads`` of the library ``pde`` limits.
+
+    The count is set to 2 for the test, so a step that failed to restore
+    it would leave 1 even on a single-core host; the old count is put back
+    afterwards.
+    """
+    pde._load_lapack()
+    setter = pde._set_blas_threads
+    if setter is None:
+        pytest.skip("scipy's OpenBLAS has no openblas_set_num_threads_local")
+    import scipy
+    libs = Path(scipy.__file__).parent.parent / "scipy.libs"
+    lib = ctypes.CDLL(str(sorted(libs.glob("libscipy_openblas*"))[0]))
+    getter = lib.scipy_openblas_get_num_threads
+    getter.restype = ctypes.c_int
+    previous = setter(2)
+    yield getter
+    setter(previous)
+
+
 class TestFieldSteps:
     def _buffer(self, nx, m=1):
         return RingBuffer([np.zeros(nx) for _ in range(m)])
@@ -387,6 +416,86 @@ class TestFieldSteps:
                           tau=-1.0, Nx=nx, history=zero_history)
         with pytest.raises(SingularSystemError, match=r"t = 0\.5 \(info=1\)"):
             ie_pde_step(np.ones(nx), self._buffer(nx), 0.5, prob, 0.5)
+
+    # Nx 300 at the preset's h and kappa: h lambda(t_new) -0.0016 gives a
+    # definite system, 5 an indefinite one (its diagonal spans 1 + 2r +- 2r,
+    # r = 3.62).
+    @pytest.mark.parametrize("h_lambda", [-0.0016, 5.0], ids=["definite", "indefinite"])
+    def test_dense_step_bits_do_not_depend_on_the_thread_limit(
+            self, h_lambda, blas_threads, monkeypatch):
+        h = 0.002
+        lambda0 = h_lambda / h - 0.2 * math.sin(2.0 * math.pi * h / 4.0)
+        prob = PdeProblem(kappa=0.02, lambda0=lambda0, lambda1=0.2, b=-0.8,
+                          tau=-0.6, Nx=300, history=oscillating_history)
+        u = oscillating_history(0.0, prob.xgrid)
+        delayed = oscillating_history(-0.6, prob.xgrid)
+
+        def step():
+            return ie_pde_step(u, RingBuffer([np.zeros(300), delayed]), h, prob, h)
+
+        limited = step()
+        monkeypatch.setattr(pde, "_set_blas_threads", None)
+        assert np.array_equal(limited, step())
+
+    def test_dense_step_runs_on_one_thread(self, blas_threads, monkeypatch):
+        seen = []
+
+        def dsysv(*args, **kwargs):
+            seen.append(blas_threads())
+            return real(*args, **kwargs)
+
+        real = pde.lapack.dsysv
+        monkeypatch.setattr(pde, "lapack", SimpleNamespace(dsysv=dsysv))
+        prob = PdeProblem(Nx=30, lambda1=0.2, history=oscillating_history, **BENCH_KW)
+        ie_pde_step(np.ones(30), self._buffer(30), 0.002, prob, 0.002)
+        assert seen == [1]
+        assert blas_threads() == 2
+
+    def test_modulated_run_restores_the_thread_count(self, blas_threads):
+        prob = PdeProblem(Nx=300, lambda1=0.2, history=oscillating_history, **BENCH_KW)
+        run_pde(prob, SchemeConfig(h=0.002, T=0.02, scheme="ie"))
+        assert blas_threads() == 2
+
+    def test_singular_step_restores_the_thread_count(self, blas_threads):
+        prob = PdeProblem(kappa=0.0, lambda0=1.0, lambda1=1.0, T_lambda=2.0, b=0.0,
+                          tau=-1.0, Nx=3, history=zero_history)
+        with pytest.raises(SingularSystemError, match=r"info=1"):
+            ie_pde_step(np.ones(3), self._buffer(3), 0.5, prob, 0.5)
+        assert blas_threads() == 2
+
+    def test_concurrent_runs_restore_the_thread_count(self, blas_threads):
+        # More threads than cores and a short switch interval: unserialized
+        # steps left the count at 1 after most such batches.
+        prob = PdeProblem(Nx=30, lambda1=0.2, history=oscillating_history, **BENCH_KW)
+        config = SchemeConfig(h=0.002, T=0.2, scheme="ie")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                finals = []
+                workers = [threading.Thread(
+                    target=lambda: finals.append(run_pde(prob, config).final))
+                    for _ in range(4)]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=30)
+                assert not any(w.is_alive() for w in workers)
+                assert len(finals) == 4
+                assert all(np.array_equal(f, finals[0]) for f in finals)
+                assert blas_threads() == 2
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_failing_solve_restores_the_thread_count(self, blas_threads, monkeypatch):
+        def dsysv(*args, **kwargs):
+            raise RuntimeError("solver failed")
+
+        monkeypatch.setattr(pde, "lapack", SimpleNamespace(dsysv=dsysv))
+        prob = PdeProblem(Nx=3, lambda1=0.2, history=oscillating_history, **BENCH_KW)
+        with pytest.raises(RuntimeError, match="solver failed"):
+            ie_pde_step(np.ones(3), self._buffer(3), 0.002, prob, 0.002)
+        assert blas_threads() == 2
 
     def test_splitting_respects_the_sup_norm_budget(self):
         u1, u0, hist_max, prob, h = self._one_benchmark_splitting_step()
