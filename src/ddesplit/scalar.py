@@ -7,7 +7,8 @@ maps are provided in two realizations each:
   take the same step; they differ only in ``SchemeConfig.level``.
 * kernel mode: the history is carried as a sampled segment and advanced by
   the closed-form transport resolvent; the delayed coupling enters through
-  an exponentially weighted integral of the previous segment.
+  an exponentially weighted integral of the previous segment.  ``lt`` is
+  the reaction after the reaction-free ``ie`` kernel step.
 
 Both run loops read the frozen coefficients a(t_{n+level}) from one stream,
 built 4096 steps at a time.  The grid loop tests finiteness once per chunk,
@@ -104,21 +105,6 @@ class SchemeConfig:
 
 
 @dataclass
-class StepCoefficients:
-    """alpha = 1/(1 - h a), beta = h b/(1 - h a) of the one-step recurrences."""
-
-    alpha: float
-    beta: float
-
-    @classmethod
-    def from_params(cls, a_frozen: float, b: float, h: float) -> "StepCoefficients":
-        den = 1.0 - h * a_frozen
-        if abs(den) <= EPS_DEN:
-            raise SingularStepError(f"1 - h*a = {den} below guard")
-        return cls(alpha=1.0 / den, beta=h * b / den)
-
-
-@dataclass
 class RunResult:
     times: np.ndarray
     values: np.ndarray
@@ -146,6 +132,22 @@ def ie_step(u_n: float, u_delay: float, a_frozen: float, b: float, h: float) -> 
 lt_step = ie_step
 
 
+def _ie_kernel(u_prev: float, rho_prev: np.ndarray, a: float, b: float,
+               grid: DelayGrid) -> Tuple[float, np.ndarray]:
+    """The ``ie`` kernel step, the one kernel solve of both schemes."""
+    if not grid.is_integer_lag or len(rho_prev) != grid.m + 1:
+        raise ParameterError(
+            f"a kernel step needs an integer lag and m + 1 = {grid.m + 1} "
+            f"segment samples, got {grid!r} and {len(rho_prev)} samples")
+    h = grid.h
+    den = 1.0 - h * a - h * b * math.exp(grid.tau / h)
+    if abs(den) <= EPS_DEN:
+        raise SingularStepError(f"kernel step denominator {den} below guard")
+    integral = delay_kernel_integral(rho_prev, h)
+    u_new = (u_prev + b * integral) / den
+    return u_new, transport_resolvent_apply(u_new, rho_prev)
+
+
 def ie_step_kernel(u_prev: float, rho_prev: np.ndarray, a_at_new: float,
                    b: float, grid: DelayGrid) -> Tuple[float, np.ndarray]:
     """Implicit Euler step with the delayed trace resolved through the kernel.
@@ -154,31 +156,23 @@ def ie_step_kernel(u_prev: float, rho_prev: np.ndarray, a_at_new: float,
     I the exponentially weighted integral of the previous segment; the new
     segment is the transport resolvent applied to (u, rho_prev).
     """
-    h = grid.h
-    den = 1.0 - h * a_at_new - h * b * math.exp(grid.tau / h)
-    if abs(den) <= EPS_DEN:
-        raise SingularStepError(f"kernel step denominator {den} below guard")
-    integral = delay_kernel_integral(rho_prev, h)
-    u_new = (u_prev + b * integral) / den
-    return u_new, transport_resolvent_apply(u_new, rho_prev)
+    return _ie_kernel(u_prev, rho_prev, a_at_new, b, grid)
 
 
 def lt_step_kernel(u_prev: float, rho_prev: np.ndarray, a_frozen: float,
                    b: float, grid: DelayGrid) -> Tuple[float, np.ndarray]:
-    """Sequential splitting step: transport/delay solve first, reaction second.
+    """Splitting step: the reaction after the reaction-free ``ie`` kernel step.
 
-    The intermediate w = (u_prev + b*I)/(1 - h b e^{tau/h}) feeds the segment
-    update; the returned value is w/(1 - h a_frozen).
+    The intermediate w, the ``ie`` kernel step with a = 0, feeds the segment
+    update; the returned value is w/(1 - h a_frozen).  The product of the two
+    denominators differs from ``ie``'s by h^2 a b e^{tau/h}, the splitting
+    commutator.
     """
-    h = grid.h
-    den_delay = 1.0 - h * b * math.exp(grid.tau / h)
-    den_react = 1.0 - h * a_frozen
-    if abs(den_delay) <= EPS_DEN or abs(den_react) <= EPS_DEN:
-        raise SingularStepError("kernel splitting denominator below guard")
-    integral = delay_kernel_integral(rho_prev, h)
-    w = (u_prev + b * integral) / den_delay
-    u_new = w / den_react
-    return u_new, transport_resolvent_apply(w, rho_prev)
+    den = 1.0 - grid.h * a_frozen
+    if abs(den) <= EPS_DEN:
+        raise SingularStepError(f"1 - h*a = {den} below guard")
+    w, rho_new = _ie_kernel(u_prev, rho_prev, 0.0, b, grid)
+    return w / den, rho_new
 
 
 def _diverged(step: int) -> DivergenceError:

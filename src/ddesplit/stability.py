@@ -24,11 +24,12 @@ from .errors import (
     NumericalError,
     ParameterError,
     RootConvergenceError,
+    SingularStepError,
     require_finite,
     require_integer,
 )
 from .history import DelayGrid
-from .scalar import ScalarDelayProblem, StepCoefficients
+from .scalar import EPS_DEN, ScalarDelayProblem
 
 
 @dataclass
@@ -69,6 +70,8 @@ class DiscretePropagators:
 
     Attributes
     ----------
+    coeffs : CompanionOperator
+        The splitting step P in companion form.
     Sigma : ndarray
         Exact shift with inflow: (x_0, x_0, x_1, ..., x_{m-1}).
     D : ndarray
@@ -86,7 +89,7 @@ class DiscretePropagators:
 
     m: int
     h: float
-    coeffs: StepCoefficients
+    coeffs: CompanionOperator
     Sigma: np.ndarray
     D: np.ndarray
     H: np.ndarray
@@ -106,8 +109,10 @@ def companion_operator(problem: ScalarDelayProblem, h: float) -> CompanionOperat
     if not grid.is_integer_lag:
         raise ParameterError("stability diagnostics need an integer lag, "
                              f"got -tau/h = {-problem.tau / h:.12g}")
-    coeffs = StepCoefficients.from_params(problem.a, problem.b, h)
-    return CompanionOperator(grid.m, coeffs.alpha, coeffs.beta)
+    den = 1.0 - h * problem.a
+    if abs(den) <= EPS_DEN:
+        raise SingularStepError(f"1 - h*a = {den} below guard")
+    return CompanionOperator(grid.m, 1.0 / den, h * problem.b / den)
 
 
 def build_discrete_propagators(problem: ScalarDelayProblem,
@@ -135,8 +140,7 @@ def build_discrete_propagators(problem: ScalarDelayProblem,
     R[0, m] = 0.0
     R[0, m - 1] += op.beta
     E = R - P
-    return DiscretePropagators(m=m, h=h, coeffs=StepCoefficients(op.alpha, op.beta),
-                               Sigma=Sigma, D=D, H=H, P=P, R=R, E=E)
+    return DiscretePropagators(m=m, h=h, coeffs=op, Sigma=Sigma, D=D, H=H, P=P, R=R, E=E)
 
 
 def defect_norm(op: CompanionOperator) -> float:

@@ -24,9 +24,8 @@ from ddesplit.harness import (
 from ddesplit.history import transport_resolvent_apply
 from ddesplit.oracle import OhiraParams, oo_residual, oo_solution, poly_history
 from ddesplit.pde import PdeProblem, oscillating_history
-from ddesplit.scalar import ScalarDelayProblem, SchemeConfig, StepCoefficients, run
+from ddesplit.scalar import ScalarDelayProblem, SchemeConfig, run
 from ddesplit.stability import (
-    CompanionOperator,
     build_discrete_propagators,
     companion_operator,
     defect_norm,
@@ -124,8 +123,8 @@ def test_c01_spectral_radius(tmp_path):
     assert abs(data["spectral_radius"] - TARGET_RHO) <= 1e-8
     assert elapsed < 1.0
     # Dual route: polynomial roots against the dense eigensolver.
-    coeffs = StepCoefficients.from_params(-0.15, -6.0, 0.001)
-    op = CompanionOperator(m=257, alpha=coeffs.alpha, beta=coeffs.beta)
+    op = companion_operator(ScalarDelayProblem(a=-0.15, b=-6.0, tau=-0.257,
+                                               history=lambda t: 0.0), 0.001)
     assert abs(spectral_radius(op) - dense_spectral_radius(op)) <= 1e-10
     print(f"c01: rho = {data['spectral_radius']:.10f} in {elapsed:.2f} s")
 
@@ -136,8 +135,8 @@ def test_c01_spectral_radius(tmp_path):
                           "[0.9e4, 1.3e4], which matches only the modulus "
                           "heuristic 1/(1-rho) = 1.12e4")
 def test_c02a_summability_magnitude_window():
-    coeffs = StepCoefficients.from_params(-0.15, -6.0, 0.001)
-    op = CompanionOperator(m=257, alpha=coeffs.alpha, beta=coeffs.beta)
+    op = companion_operator(ScalarDelayProblem(a=-0.15, b=-6.0, tau=-0.257,
+                                               history=lambda t: 0.0), 0.001)
     from ddesplit.stability import companion_profiles
     s_vals, _ = companion_profiles(op, [200000])
     assert TARGET_SUMMABILITY_WINDOW[0] <= s_vals[0] <= TARGET_SUMMABILITY_WINDOW[1]

@@ -12,9 +12,10 @@ import pytest
 
 from ddesplit import stability
 from ddesplit.cli import main, parse
-from ddesplit.scalar import ScalarDelayProblem, SchemeConfig, StepCoefficients, run
+from ddesplit.scalar import ScalarDelayProblem, SchemeConfig, run
 from ddesplit.stability import (
     CompanionOperator,
+    companion_operator,
     companion_power_norm_sum,
     companion_profiles,
 )
@@ -262,9 +263,9 @@ class TestStabilityOutput:
         assert main(["stability", "--h", "0.0004", "--tau", "-0.2568"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["m"] == 642
-        coeffs = StepCoefficients.from_params(-0.15, -6.0, 0.0004)
-        oracle = dense_spectral_radius(
-            CompanionOperator(m=642, alpha=coeffs.alpha, beta=coeffs.beta))
+        oracle = dense_spectral_radius(companion_operator(
+            ScalarDelayProblem(a=-0.15, b=-6.0, tau=-0.2568, history=lambda t: 0.0),
+            0.0004))
         # The report keeps 12 significant digits.
         assert data["spectral_radius"] == pytest.approx(oracle, rel=1e-11)
 
@@ -276,10 +277,9 @@ class TestStabilityOutput:
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
         assert data["m"] == 296
-        coeffs = StepCoefficients.from_params(-139.48195482076895,
-                                              -192.80810321588334, 0.01)
-        oracle = dense_spectral_radius(
-            CompanionOperator(m=296, alpha=coeffs.alpha, beta=coeffs.beta))
+        oracle = dense_spectral_radius(companion_operator(
+            ScalarDelayProblem(a=-139.48195482076895, b=-192.80810321588334,
+                               tau=-2.96, history=lambda t: 0.0), 0.01))
         assert data["spectral_radius"] == pytest.approx(oracle, rel=1e-11)
 
     def test_report_builds_no_dense_matrix(self, capsys):

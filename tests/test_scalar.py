@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 from ddesplit.errors import DivergenceError, ParameterError, SingularStepError
 from ddesplit.history import (
     DelayGrid,
+    delay_kernel_integral,
     delayed_value,
     init_from_history,
     segment_from_history,
+    transport_resolvent_apply,
 )
 from ddesplit.oracle import poly_history
 from ddesplit.pde import PdeProblem, run_pde
@@ -23,7 +25,6 @@ from ddesplit.scalar import (
     RunResult,
     ScalarDelayProblem,
     SchemeConfig,
-    StepCoefficients,
     _frozen_coefficients,
     ie_step,
     ie_step_kernel,
@@ -31,6 +32,7 @@ from ddesplit.scalar import (
     lt_step_kernel,
     run,
 )
+from ddesplit.stability import companion_operator
 
 from conftest import SCALAR_A, SCALAR_B, SCALAR_TAU
 
@@ -113,18 +115,6 @@ class TestProblemAndConfig:
             RunResult(times=[0.0, 0.1], values=[1.0], scheme="ie")
 
 
-class TestStepCoefficients:
-    def test_alpha_for_the_benchmark_step(self):
-        coeffs = StepCoefficients.from_params(-0.15, -6.0, 0.001)
-        assert coeffs.alpha == pytest.approx(0.99985002, abs=5e-9)
-        assert coeffs.alpha == pytest.approx(1.0 / 1.00015, rel=1e-15)
-        assert coeffs.beta == pytest.approx(-0.006 / 1.00015, rel=1e-15)
-
-    def test_singular_denominator_rejected(self):
-        with pytest.raises(SingularStepError):
-            StepCoefficients.from_params(1000.0, 0.0, 0.001)
-
-
 class TestOneStepMaps:
     def test_zero_coefficients_are_the_identity(self):
         assert lt_step(1.7, 9.9, 0.0, 0.0, 0.1) == 1.7
@@ -198,6 +188,70 @@ class TestKernelSteps:
         with pytest.raises(SingularStepError):
             lt_step_kernel(1.0, zeros, 10.0, 0.0, grid)
 
+    # A segment must hold the m + 1 samples g_0..g_m of an integer lag.
+    @pytest.mark.parametrize("step", [ie_step_kernel, lt_step_kernel])
+    @pytest.mark.parametrize("tau,samples", [(-0.5, 5), (-0.5, 8), (-0.55, 6)],
+                             ids=["m-1", "m+2", "fractional"])
+    def test_segment_that_does_not_fit_the_grid_rejected(self, step, tau, samples):
+        grid = DelayGrid(h=0.1, tau=tau)
+        assert grid.m == 5
+        with pytest.raises(ParameterError, match="integer lag and m \\+ 1 = 6"):
+            step(1.0, np.ones(samples), 0.0, 1.0, grid)
+
+
+def _ie_kernel_as_written(u_prev, rho_prev, a, b, grid):
+    """Reference: the ``ie`` kernel step written out in full."""
+    h = grid.h
+    den = 1.0 - h * a - h * b * math.exp(grid.tau / h)
+    if abs(den) <= 1e-12:
+        raise SingularStepError
+    u_new = (u_prev + b * delay_kernel_integral(rho_prev, h)) / den
+    return u_new, transport_resolvent_apply(u_new, rho_prev)
+
+
+def _lt_kernel_as_written(u_prev, rho_prev, a, b, grid):
+    """Reference: the ``lt`` kernel step written out in full, both guards first."""
+    h = grid.h
+    den_delay = 1.0 - h * b * math.exp(grid.tau / h)
+    den_react = 1.0 - h * a
+    if abs(den_delay) <= 1e-12 or abs(den_react) <= 1e-12:
+        raise SingularStepError
+    w = (u_prev + b * delay_kernel_integral(rho_prev, h)) / den_delay
+    return w / den_react, transport_resolvent_apply(w, rho_prev)
+
+
+def _outcome(step, *args):
+    try:
+        u, seg = step(*args)
+    except SingularStepError:
+        return "singular"
+    return u, seg.tolist()
+
+
+_E1 = math.exp(-1.0)
+
+
+class TestKernelStepBits:
+    """Both kernel steps equal their references bit for bit."""
+
+    # The examples sit on either side of lt's two guards, 1 - h a and
+    # 1 - h b e^{tau/h}, at h = 0.5 and m = 1 (e^{tau/h} = e^{-1}).
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(seg=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=61),
+           u=st.floats(-1e3, 1e3), a=st.floats(-50.0, 50.0),
+           b=st.floats(-50.0, 50.0), h=st.floats(1e-3, 1.0))
+    @example(seg=[1.0, 2.0], u=1.0, a=2.0, b=0.5, h=0.5)
+    @example(seg=[1.0, 2.0], u=1.0, a=2.0 * (1.0 - 1e-11), b=0.5, h=0.5)
+    @example(seg=[1.0, 2.0], u=1.0, a=-1.0, b=2.0 / _E1, h=0.5)
+    @example(seg=[1.0, 2.0], u=1.0, a=-1.0, b=2.0 * (1.0 - 1e-11) / _E1, h=0.5)
+    def test_equal_to_the_separate_formulas(self, seg, u, a, b, h):
+        grid = DelayGrid(h, -(len(seg) - 1) * h)
+        rho = np.array(seg)
+        assert (_outcome(ie_step_kernel, u, rho, a, b, grid)
+                == _outcome(_ie_kernel_as_written, u, rho, a, b, grid))
+        assert (_outcome(lt_step_kernel, u, rho, a, b, grid)
+                == _outcome(_lt_kernel_as_written, u, rho, a, b, grid))
+
 
 @pytest.mark.parametrize("scheme", ["ie", "lt"])
 @pytest.mark.parametrize("mode", ["grid", "kernel"])
@@ -249,12 +303,12 @@ class TestRunGrid:
         res = run(prob, SchemeConfig(h=h, T=2.0, scheme="lt"))
         grid = DelayGrid(h, prob.tau)
         m = grid.m
-        coeffs = StepCoefficients.from_params(prob.a, prob.b, h)
+        op = companion_operator(prob, h)
         # Extend backwards with the history samples the buffer started from.
         ext = np.concatenate([[poly_history(prob.tau + j * h) for j in range(m)],
                               res.values])
         lhs = res.values[1:]
-        rhs = coeffs.alpha * res.values[:-1] + coeffs.beta * ext[:res.values.size - 1]
+        rhs = op.alpha * res.values[:-1] + op.beta * ext[:res.values.size - 1]
         scale = np.abs(res.values).max()
         assert lhs == pytest.approx(rhs, abs=1e-12 * scale)
 

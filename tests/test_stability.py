@@ -9,9 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddesplit import stability
-from ddesplit.errors import NumericalError, ParameterError, RootConvergenceError
+from ddesplit.errors import (
+    NumericalError,
+    ParameterError,
+    RootConvergenceError,
+    SingularStepError,
+)
 from ddesplit.harness import char_root_rightmost
-from ddesplit.scalar import ScalarDelayProblem, StepCoefficients, ie_step, lt_step
+from ddesplit.history import DelayGrid
+from ddesplit.scalar import ScalarDelayProblem, ie_step, ie_step_kernel, lt_step
 from ddesplit.stability import (
     CompanionOperator,
     build_discrete_propagators,
@@ -36,6 +42,11 @@ from dense_stability import (
 
 def _problem(a=SCALAR_A, b=SCALAR_B, tau=SCALAR_TAU, **kw):
     return ScalarDelayProblem(a=a, b=b, tau=tau, history=lambda t: 0.0, **kw)
+
+
+def _companion(m, h, a=SCALAR_A, b=SCALAR_B):
+    """``companion_operator`` at step h with the delay set to m steps."""
+    return companion_operator(_problem(a=a, b=b, tau=-m * h), h)
 
 
 class TestCompanionOperator:
@@ -81,6 +92,18 @@ def _admissible_labs(draw):
     a = draw(st.floats(-5.0, 1.5))
     b = draw(st.floats(-10.0, 10.0))
     return m, a, b, h
+
+
+class TestCompanionCoefficients:
+    def test_alpha_for_the_benchmark_step(self):
+        op = companion_operator(_problem(), 0.001)
+        assert op.alpha == pytest.approx(0.99985002, abs=5e-9)
+        assert op.alpha == pytest.approx(1.0 / 1.00015, rel=1e-15)
+        assert op.beta == pytest.approx(-0.006 / 1.00015, rel=1e-15)
+
+    def test_singular_denominator_rejected(self):
+        with pytest.raises(SingularStepError, match="below guard"):
+            companion_operator(_problem(a=1000.0, b=0.0, tau=-0.005), 0.001)
 
 
 class TestBuildPropagators:
@@ -229,8 +252,7 @@ class TestSpectralRadius:
         assert spectral_radius(op) == pytest.approx(1.0, rel=1e-10)
 
     def test_benchmark_radius(self):
-        coeffs = StepCoefficients.from_params(SCALAR_A, SCALAR_B, 0.001)
-        op = CompanionOperator(m=257, alpha=coeffs.alpha, beta=coeffs.beta)
+        op = _companion(257, 0.001)
         rho = spectral_radius(op)
         assert rho == pytest.approx(0.9999108137, abs=1e-8)
         assert rho == pytest.approx(0.9999108137770498, rel=1e-12)
@@ -265,8 +287,7 @@ class TestSpectralRadius:
         (1e-4, 2570, 0.9999906062780493),
     ])
     def test_benchmark_radii_in_four_sweeps(self, h, m, rho):
-        coeffs = StepCoefficients.from_params(SCALAR_A, SCALAR_B, h)
-        op = CompanionOperator(m, coeffs.alpha, coeffs.beta)
+        op = _companion(m, h)
         with mock.patch.object(stability, "_MAX_SWEEPS", 4):
             assert spectral_radius(op) == rho
 
@@ -306,8 +327,7 @@ class TestSpectralRadius:
                                                     rel=1e-12)
 
     def test_exhausted_sweep_budget_is_reported(self):
-        coeffs = StepCoefficients.from_params(SCALAR_A, SCALAR_B, 0.001)
-        op = CompanionOperator(257, coeffs.alpha, coeffs.beta)
+        op = _companion(257, 0.001)
         with mock.patch.object(stability, "_MAX_SWEEPS", 3), \
                 pytest.raises(RootConvergenceError,
                               match="^no convergence after 3 sweeps$") as info:
@@ -327,8 +347,7 @@ class TestSpectralRadius:
         # lambda = a + b e^{lambda tau} with an O(h) gap, up to m = 2570.
         root = char_root_rightmost(SCALAR_A, SCALAR_B, SCALAR_TAU)
         for h, m in ((1e-3, 257), (2.5e-4, 1028), (1e-4, 2570)):
-            coeffs = StepCoefficients.from_params(SCALAR_A, SCALAR_B, h)
-            rho = spectral_radius(CompanionOperator(m, coeffs.alpha, coeffs.beta))
+            rho = spectral_radius(_companion(m, h))
             assert (math.log(rho) / h - root.real) / h == pytest.approx(5.28, rel=0.01)
 
 
@@ -351,8 +370,7 @@ class TestStabilityProfiles:
         assert set(np.flatnonzero(r == r.max()) + 1) == {1, 2}
 
     def test_partial_sum_recursion_bound(self):
-        coeffs = StepCoefficients.from_params(-0.15, -6.0, 0.05)
-        op = CompanionOperator(m=4, alpha=coeffs.alpha, beta=coeffs.beta)
+        op = _companion(4, 0.05)
         dense = op.dense()
         S, _ = stability_profiles(dense, 40)
         norm = np.abs(dense).sum(axis=1).max()
@@ -418,6 +436,27 @@ class TestCompanionProfiles:
         assert np.array_equal(r[:m], 2.0 * np.arange(1, m + 1))
         assert not r[m:].any()
 
+    # The kernel step with a = b = 0 is the transport factor on (u, rho): u
+    # stays and rho takes the transport resolvent.  Built densely, column by
+    # column, at h = 1/m and tau = -1, its powers stay bounded by 1, but its
+    # Ritt profile peaks at n = m + 1 with a value that grows like h^{-1/2}
+    # (about 0.74 sqrt(m)): the transport is not Ritt-bounded either.
+    @pytest.mark.parametrize("m,peak", [
+        (8, 2.35524306726844), (32, 4.314340799495257), (128, 8.432430380926409),
+    ])
+    def test_kernel_transport_is_not_ritt_bounded(self, m, peak):
+        grid = DelayGrid(1.0 / m, -1.0)
+        steps = (ie_step_kernel(x[0], x[1:], 0.0, 0.0, grid) for x in np.eye(m + 2))
+        S = np.array([[u, *seg] for u, seg in steps]).T
+        n_max = 4 * (m + 1)
+        _, r = stability_profiles(S, n_max)
+        assert r.max() == pytest.approx(peak, rel=1e-9)
+        assert r.argmax() + 1 == m + 1
+        power = np.eye(m + 2)
+        for _ in range(n_max):
+            power = power @ S
+            assert inf_norm(power) <= 1.0 + 4e-15
+
 
 class TestPowerNormSums:
     def test_identity_sums_to_the_horizon(self):
@@ -427,8 +466,7 @@ class TestPowerNormSums:
         assert power_norm_sum(np.zeros((2, 2)), 5) == 1.0
 
     def test_fast_route_matches_the_dense_route(self):
-        coeffs = StepCoefficients.from_params(-0.15, -6.0, 0.04)
-        op = CompanionOperator(m=5, alpha=coeffs.alpha, beta=coeffs.beta)
+        op = _companion(5, 0.04)
         dense_total = power_norm_sum(op.dense(), 400)
         fast_total = companion_power_norm_sum(op, 400)
         assert fast_total == pytest.approx(dense_total, rel=1e-12)
@@ -484,8 +522,7 @@ class TestFirstRowSequence:
     # m + 1 steps and its tail reaches back over earlier chunks.
     @pytest.mark.parametrize("m", [1, 2, 257, 4100])
     def test_chunks_match_the_row_update_bit_for_bit(self, m):
-        coeffs = StepCoefficients.from_params(SCALAR_A, SCALAR_B, 0.001)
-        op = CompanionOperator(m=m, alpha=coeffs.alpha, beta=coeffs.beta)
+        op = _companion(m, 0.001)
         m, tail, chunk = op.m, 2 * op.m + 2, stability._CHUNK
         n_max = 3 * chunk + 100
         c_all, b_all, starts = [], [], []
@@ -511,8 +548,7 @@ class TestFirstRowSequence:
         # Values of the O(m) row-vector update with a deque window, which the
         # first-row route reproduces bit for bit; the checkpoints straddle
         # the first chunk boundaries.
-        coeffs = StepCoefficients.from_params(SCALAR_A, SCALAR_B, 0.001)
-        op = CompanionOperator(m=257, alpha=coeffs.alpha, beta=coeffs.beta)
+        op = _companion(257, 0.001)
         S, r = companion_profiles(
             op, [1, 257, 258, 259, 4096, 4097, 4354, 8192, 12289, 20000])
         assert S.tolist() == [
@@ -622,8 +658,7 @@ class TestTelescoping:
         rng = np.random.default_rng(13)
         R_list, P_list = [], []
         for k in range(12):
-            coeffs = StepCoefficients.from_params(-0.1 * (k + 1), -0.5, 0.05)
-            op = CompanionOperator(m=3, alpha=coeffs.alpha, beta=coeffs.beta)
+            op = _companion(3, 0.05, a=-0.1 * (k + 1), b=-0.5)
             R_list.append(op.dense() + 0.01 * rng.standard_normal((4, 4)))
             P_list.append(op.dense())
         residual, scale = verify_telescoping(R_list, P_list)
