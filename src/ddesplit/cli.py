@@ -47,12 +47,9 @@ from .stability import (
     spectral_radius,
 )
 
-# Bundled benchmark defaults of the scalar model (scalar, stability, timing).
-SCALAR_DEFAULTS = dict(a=-0.15, b=-6.0, tau=-0.257, h=0.001, T=40.0)
-
-# Bundled benchmark defaults of the field model; --mode toggles the modulation.
-PDE_DEFAULTS = dict(kappa=0.02, lambda0=-0.8, b=-0.8, tau=-0.6,
-                    h=0.002, Nx=300, T=8.0, L=1.0, T_lambda=4.0)
+# The subcommand whose default problem each ``timing`` target runs.
+_TIMING_TARGETS = {"scalar": ["scalar"], "pde-auto": ["pde", "--mode", "auto"],
+                   "pde-nonauto": ["pde", "--mode", "nonauto"]}
 
 
 def _checked(convert, ok, what: str):
@@ -96,9 +93,20 @@ def _add_output_flags(p: argparse.ArgumentParser, formats=("csv", "json"),
                    help="output format (default: %(default)s)")
 
 
-def _add_history_flags(p: argparse.ArgumentParser, default: str = "poly10") -> None:
+def _add_scalar_model_flags(p: argparse.ArgumentParser, tau: float,
+                            a_mode: bool = True) -> None:
+    """The scalar model's --a, --a-mode (unless a must be constant), --b and --tau."""
+    p.add_argument("--a", type=_finite, default=-0.15, help="reaction coefficient")
+    if a_mode:
+        p.add_argument("--a-mode", choices=["constant", "linear"], default="constant",
+                       help="constant a or the law a(t) = a*t")
+    p.add_argument("--b", type=_finite, default=-6.0, help="delay coefficient")
+    p.add_argument("--tau", type=_negative, default=tau, help="delay (< 0)")
+
+
+def _add_history_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--history", choices=["poly10", "const", "zero"],
-                   default=default,
+                   default="poly10",
                    help="history profile on [tau, 0] (default: %(default)s)")
     p.add_argument("--history-value", type=_finite, default=1.0,
                    help="value used by --history const (default: %(default)s)")
@@ -113,16 +121,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scalar", help="run the scalar delay equation")
     p.add_argument("--scheme", choices=["ie", "lt"], default="ie")
     p.add_argument("--delay-mode", choices=["grid", "kernel"], default="grid")
-    p.add_argument("--a", type=_finite, default=SCALAR_DEFAULTS["a"],
-                   help="reaction coefficient")
-    p.add_argument("--a-mode", choices=["constant", "linear"], default="constant",
-                   help="constant a or the law a(t) = a*t")
-    p.add_argument("--b", type=_finite, default=SCALAR_DEFAULTS["b"],
-                   help="delay coefficient")
-    p.add_argument("--tau", type=_negative, default=SCALAR_DEFAULTS["tau"],
-                   help="delay (< 0)")
-    p.add_argument("--h", type=_positive, default=SCALAR_DEFAULTS["h"], help="step size")
-    p.add_argument("--T", type=_positive, default=SCALAR_DEFAULTS["T"], help="final time")
+    _add_scalar_model_flags(p, tau=-0.257)
+    p.add_argument("--h", type=_positive, default=0.001, help="step size")
+    p.add_argument("--T", type=_positive, default=40.0, help="final time")
     _add_history_flags(p)
     _add_output_flags(p)
 
@@ -137,27 +138,25 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="the benchmark in the auto or nonauto mode, which sets "
                             "lambda1 to 0 or 0.2 unless --lambda1 is given; other "
                             "explicit flags override the benchmark defaults")
-    p.add_argument("--kappa", type=_positive, default=PDE_DEFAULTS["kappa"])
-    p.add_argument("--lambda0", type=_finite, default=PDE_DEFAULTS["lambda0"])
+    p.add_argument("--kappa", type=_positive, default=0.02)
+    p.add_argument("--lambda0", type=_finite, default=-0.8)
     p.add_argument("--lambda1", type=_finite, default=None,
                    help="modulation amplitude (default: 0.2 for nonauto, 0 for auto)")
-    p.add_argument("--T-lambda", type=_positive, default=PDE_DEFAULTS["T_lambda"],
+    p.add_argument("--T-lambda", type=_positive, default=4.0,
                    dest="T_lambda", help="modulation period")
-    p.add_argument("--b", type=_finite, default=PDE_DEFAULTS["b"])
-    p.add_argument("--tau", type=_negative, default=PDE_DEFAULTS["tau"])
-    p.add_argument("--h", type=_positive, default=PDE_DEFAULTS["h"])
-    p.add_argument("--T", type=_positive, default=PDE_DEFAULTS["T"])
-    p.add_argument("--Nx", type=_positive_int, default=PDE_DEFAULTS["Nx"])
-    p.add_argument("--L", type=_positive, default=PDE_DEFAULTS["L"])
+    p.add_argument("--b", type=_finite, default=-0.8)
+    p.add_argument("--tau", type=_negative, default=-0.6)
+    p.add_argument("--h", type=_positive, default=0.002)
+    p.add_argument("--T", type=_positive, default=8.0)
+    p.add_argument("--Nx", type=_positive_int, default=300)
+    p.add_argument("--L", type=_positive, default=1.0)
     p.add_argument("--field-history", choices=["osc", "zero"], default="osc",
                    help="initial field history (default: %(default)s)")
     _add_output_flags(p)
 
     p = sub.add_parser("stability", help="one-step operator diagnostics")
-    p.add_argument("--a", type=_finite, default=SCALAR_DEFAULTS["a"])
-    p.add_argument("--b", type=_finite, default=SCALAR_DEFAULTS["b"])
-    p.add_argument("--tau", type=_negative, default=SCALAR_DEFAULTS["tau"])
-    p.add_argument("--h", type=_positive, default=SCALAR_DEFAULTS["h"])
+    _add_scalar_model_flags(p, tau=-0.257, a_mode=False)
+    p.add_argument("--h", type=_positive, default=0.001)
     p.add_argument("--profile-n", type=_non_negative_int, default=0,
                    help="horizon of the summability/Ritt profiles (0 = skip)")
     p.add_argument("--profile-stride", type=_non_negative_int, default=0,
@@ -177,10 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
 
     p = sub.add_parser("convergence", help="order study between two variants")
-    p.add_argument("--a", type=_finite, default=-0.15)
-    p.add_argument("--a-mode", choices=["constant", "linear"], default="constant")
-    p.add_argument("--b", type=_finite, default=-6.0)
-    p.add_argument("--tau", type=_negative, default=-8.0)
+    _add_scalar_model_flags(p, tau=-8.0)
     p.add_argument("--T", type=_positive, default=20.0)
     p.add_argument("--h-list", type=_float_list, default="0.1,0.05,0.025,0.0125",
                    dest="h_list", help="comma-separated steps, coarsest first")
@@ -191,10 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("growth-fit", help="exponential growth rate of a run")
     p.add_argument("--scheme", choices=["ie", "lt"], default="ie")
-    p.add_argument("--a", type=_finite, default=-0.15)
-    p.add_argument("--a-mode", choices=["constant", "linear"], default="constant")
-    p.add_argument("--b", type=_finite, default=-6.0)
-    p.add_argument("--tau", type=_negative, default=-8.0)
+    _add_scalar_model_flags(p, tau=-8.0)
     p.add_argument("--h", type=_positive, default=0.01)
     p.add_argument("--T", type=_positive, default=200.0)
     p.add_argument("--t-start", type=_finite, default=50.0, dest="t_start")
@@ -204,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p, formats=("json",), default="json")
 
     p = sub.add_parser("timing", help="median wall-clock scheme comparison")
-    p.add_argument("--target", choices=["scalar", "pde-auto", "pde-nonauto"],
+    p.add_argument("--target", choices=list(_TIMING_TARGETS),
                    default="pde-nonauto")
     p.add_argument("--h", type=_positive, default=None,
                    help="step override (default per target)")
@@ -287,7 +280,7 @@ def _make_history(name: str, value: float):
 def _scalar_problem(ns) -> ScalarDelayProblem:
     return ScalarDelayProblem(a=ns.a, b=ns.b, tau=ns.tau,
                               history=_make_history(ns.history, ns.history_value),
-                              a_mode=getattr(ns, "a_mode", "constant"))
+                              a_mode=ns.a_mode)
 
 
 def _pde_problem(ns) -> PdeProblem:
@@ -368,9 +361,7 @@ def _cmd_oracle(ns: argparse.Namespace) -> int:
 
 
 def _cmd_convergence(ns: argparse.Namespace) -> int:
-    pair = tuple(tok.strip() for tok in ns.pair.split(","))
-    if len(pair) != 2:
-        raise ParameterError(f"--pair needs exactly two variants, got {ns.pair!r}")
+    pair = [tok.strip() for tok in ns.pair.split(",")]
     report = convergence_study(_scalar_problem(ns), pair, ns.h_list, ns.T)
     _write_json(report.to_json(), ns.out)
     return 0
@@ -392,18 +383,10 @@ def _cmd_growth_fit(ns: argparse.Namespace) -> int:
 
 
 def _cmd_timing(ns: argparse.Namespace) -> int:
-    if ns.target == "scalar":
-        defaults = SCALAR_DEFAULTS
-        problem = ScalarDelayProblem(a=defaults["a"], b=defaults["b"],
-                                     tau=defaults["tau"], history=poly_history)
-    else:
-        defaults = PDE_DEFAULTS
-        problem = PdeProblem(
-            **{k: v for k, v in defaults.items() if k not in ("h", "T")},
-            history=oscillating_history,
-            lambda1=0.2 if ns.target == "pde-nonauto" else 0.0)
-    h = ns.h if ns.h is not None else defaults["h"]
-    T = ns.T if ns.T is not None else defaults["T"]
+    defaults = parse(_TIMING_TARGETS[ns.target])
+    problem = (_scalar_problem if ns.target == "scalar" else _pde_problem)(defaults)
+    h = ns.h if ns.h is not None else defaults.h
+    T = ns.T if ns.T is not None else defaults.T
     pair = (SchemeConfig(h=h, T=T, scheme="ie"),
             SchemeConfig(h=h, T=T, scheme="lt"))
     report = compare_runtime(problem, pair, repetitions=ns.reps)

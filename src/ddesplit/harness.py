@@ -68,6 +68,14 @@ class RuntimeReport:
         return out
 
 
+def _two(pair, what: str) -> tuple:
+    """``pair`` as a tuple, checked to hold exactly two ``what``."""
+    pair = tuple(pair)
+    if len(pair) != 2:
+        raise ParameterError(f"need exactly two {what}, got {len(pair)}: {pair!r}")
+    return pair
+
+
 def _parse_variant(tag: str) -> Tuple[str, str]:
     """Split a scheme tag like "ie" or "lt-kernel" into (scheme, mode)."""
     scheme, dash, mode = tag.partition("-")
@@ -88,6 +96,7 @@ def convergence_study(problem: ScalarDelayProblem,
     identically-zero gaps are reported as a degenerate fit instead of a
     meaningless line.
     """
+    variants = [_parse_variant(tag) for tag in _two(scheme_pair, "variants")]
     hs = np.asarray(list(h_list), dtype=float)
     if hs.size < 3:
         raise ParameterError("need at least 3 step sizes for a slope")
@@ -103,8 +112,7 @@ def convergence_study(problem: ScalarDelayProblem,
         if abs(stride_f - stride) > SNAP_RTOL * stride_f:
             raise ParameterError(f"h={h} does not subdivide the coarsest h={h0}")
         runs = []
-        for tag in scheme_pair:
-            scheme, mode = _parse_variant(tag)
+        for scheme, mode in variants:
             cfg = SchemeConfig(h=float(h), T=T, scheme=scheme, delay_mode=mode)
             runs.append(run(problem, cfg))
         n_coarse = int(round(T / h0))
@@ -191,6 +199,7 @@ def compare_runtime(problem: Union[ScalarDelayProblem, PdeProblem],
     """
     if repetitions < 3:
         raise ParameterError(f"need >= 3 repetitions for a median, got {repetitions}")
+    config_pair = _two(config_pair, "configurations")
     runner = run_pde if isinstance(problem, PdeProblem) else run
     seconds: Dict[str, float] = {}
     labels = _runtime_labels(config_pair)

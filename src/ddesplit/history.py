@@ -1,8 +1,10 @@
 """Delay-history storage and the transport-resolvent kernel.
 
-Uniform-grid ring buffers realize the exact shift of the history segment;
-fractional delays are served by linear interpolation between the two
-bracketing entries.  The continuum transport resolvent
+Uniform-grid ring buffers realize the exact shift of the history segment.
+Only they serve a fractional lag -tau/h, by linear interpolation between
+the two bracketing entries; every other consumer (kernel segments, field
+runs, the stability lab) calls ``DelayGrid.require_integer_lag``.  The
+continuum transport resolvent
 
     rho(sigma) = e^{sigma/h} f + (1/h) * int_sigma^0 e^{(sigma-s)/h} g(s) ds
 
@@ -73,6 +75,12 @@ class DelayGrid:
     def is_integer_lag(self) -> bool:
         return self.delta == 0.0
 
+    def require_integer_lag(self, what: str) -> None:
+        """Raise ``ParameterError`` naming -tau/h: "``what`` need an integer lag"."""
+        if not self.is_integer_lag:
+            raise ParameterError(f"{what} need an integer lag, "
+                                 f"got -tau/h = {-self.tau / self.h:.12g}")
+
     def __repr__(self):
         return f"DelayGrid(h={self.h}, tau={self.tau}, m={self.m}, delta={self.delta})"
 
@@ -132,9 +140,7 @@ def segment_from_history(history: Callable[[float], float],
     The newest sample ``g_m = history(0.0)`` doubles as the inflow value
     ``f`` (the compatibility condition rho(0) = u).
     """
-    if not grid.is_integer_lag:
-        raise ParameterError("the kernel segment needs the delay to be an integer "
-                             "multiple of the step")
+    grid.require_integer_lag("kernel segments")
     sigma = grid.tau + grid.h * np.arange(grid.m + 1)
     sigma[-1] = 0.0
     return np.array([history(s) for s in sigma], dtype=float)

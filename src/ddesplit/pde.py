@@ -309,9 +309,7 @@ def run_pde(problem: PdeProblem, config: SchemeConfig) -> PdeRunResult:
     if config.delay_mode != "grid":
         raise ParameterError("field runs support the grid delay mode only")
     grid = DelayGrid(config.h, problem.tau)
-    if not grid.is_integer_lag:
-        raise ParameterError("field runs require the delay to be an integer "
-                             "multiple of the step")
+    grid.require_integer_lag("field runs")
     h = config.h
     xg = problem.xgrid
     _load_lapack()  # a first-use import must not count as run time

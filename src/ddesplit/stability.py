@@ -106,9 +106,7 @@ def companion_operator(problem: ScalarDelayProblem, h: float) -> CompanionOperat
     if problem.a_mode != "constant":
         raise ParameterError("stability diagnostics need constant coefficients")
     grid = DelayGrid(h, problem.tau)
-    if not grid.is_integer_lag:
-        raise ParameterError("stability diagnostics need an integer lag, "
-                             f"got -tau/h = {-problem.tau / h:.12g}")
+    grid.require_integer_lag("stability diagnostics")
     den = 1.0 - h * problem.a
     if abs(den) <= EPS_DEN:
         raise SingularStepError(f"1 - h*a = {den} below guard")

@@ -12,6 +12,8 @@ import pytest
 
 from ddesplit import stability
 from ddesplit.cli import main, parse
+from ddesplit.oracle import poly_history
+from ddesplit.pde import oscillating_history
 from ddesplit.scalar import ScalarDelayProblem, SchemeConfig, run
 from ddesplit.stability import (
     CompanionOperator,
@@ -179,6 +181,14 @@ class TestScalarOutput:
         assert capsys.readouterr().out == ""
         assert target.read_text() == direct
 
+    def test_fractional_lag_kernel_run_is_an_error_naming_the_lag(self, capsys):
+        rc = main(["scalar", "--delay-mode", "kernel", "--tau", "-0.2575"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == ("error: kernel segments need an integer lag, "
+                                "got -tau/h = 257.5\n")
+        assert captured.out == ""
+
 
 PDE_ARGS = ["pde", "--Nx", "5", "--h", "0.1", "--T", "0.5"]
 
@@ -213,6 +223,15 @@ class TestPdeOutput:
         small = ["--Nx", "4", "--h", "0.1", "--T", "0.3", "--format", "json"]
         main(["pde", "--mode", "nonauto"] + small)
         assert json.loads(capsys.readouterr().out)["parameters"]["lambda1"] == 0.2
+
+
+    def test_fractional_lag_is_a_runtime_error_naming_the_lag(self, capsys):
+        rc = main(["pde", "--tau", "-0.6011", "--T", "0.01"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == ("error: field runs need an integer lag, "
+                                "got -tau/h = 300.55\n")
+        assert captured.out == ""
 
 
 class TestStabilityOutput:
@@ -333,6 +352,16 @@ class TestConvergenceOutput:
                 f"got {h_list!r}") in err
 
 
+    @pytest.mark.parametrize("pair,count", [("ie", 1), ("ie,lt,ie-kernel", 3)])
+    def test_pair_of_other_than_two_variants_is_a_runtime_error(self, pair,
+                                                                count, capsys):
+        rc = main(["convergence", "--pair", pair])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith(f"error: need exactly two variants, got {count}: ")
+        assert captured.out == ""
+
+
 class TestGrowthFitOutput:
     GEOMETRIC = ["growth-fit", "--b", "0", "--a", "-0.5", "--tau", "-1",
                  "--h", "0.01", "--T", "20", "--t-start", "5",
@@ -373,3 +402,23 @@ class TestTimingOutput:
         data = json.loads(capsys.readouterr().out)
         assert set(data) == {"ie", "lt", "ratio"}
         assert data["ie"] > 0.0 and data["lt"] > 0.0 and data["ratio"] > 0.0
+
+    # Each target times the default problem of the command it names.
+    @pytest.mark.parametrize("target,expected", [
+        ("scalar", dict(a=-0.15, b=-6.0, tau=-0.257, a_mode="constant",
+                        history=poly_history, h=0.001, T=40.0)),
+        ("pde-auto", dict(lambda1=0.0, history=oscillating_history, kappa=0.02,
+                          Nx=300, tau=-0.6, h=0.002, T=8.0)),
+        ("pde-nonauto", dict(lambda1=0.2, history=oscillating_history, kappa=0.02,
+                             Nx=300, tau=-0.6, h=0.002, T=8.0)),
+    ])
+    def test_targets_time_the_default_problems(self, target, expected, capsys):
+        with mock.patch("ddesplit.cli.compare_runtime") as compare:
+            compare.return_value.to_json.return_value = {}
+            assert main(["timing", "--target", target]) == 0
+        problem, pair = compare.call_args.args
+        h, T = expected.pop("h"), expected.pop("T")
+        assert [(cfg.scheme, cfg.h, cfg.T) for cfg in pair] == [("ie", h, T),
+                                                                ("lt", h, T)]
+        for name, value in expected.items():
+            assert getattr(problem, name) == value, name

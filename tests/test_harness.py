@@ -112,6 +112,13 @@ class TestConvergenceStudy:
         with pytest.raises(ParameterError):
             convergence_study(prob, pair, [0.1, 0.05, 0.025], T=1.0)
 
+    @pytest.mark.parametrize("variants", [("ie",), ("ie", "lt", "ie-kernel")])
+    def test_other_than_two_variants_rejected(self, variants):
+        prob = ScalarDelayProblem(a=-1.0, b=0.0, tau=-0.5,
+                                  history=lambda t: 1.0)
+        with pytest.raises(ParameterError, match=f"exactly two variants, got {len(variants)}"):
+            convergence_study(prob, variants, [0.1, 0.05, 0.025], T=1.0)
+
 
 class TestGrowthFit:
     def test_recovers_an_exact_exponential(self):
@@ -285,6 +292,15 @@ class TestCompareRuntime:
         cfg = SchemeConfig(h=0.1, T=0.5, scheme="ie")
         with pytest.raises(ParameterError):
             compare_runtime(prob, (cfg, SchemeConfig(h=0.1, T=0.5, scheme="ie")))
+
+    @pytest.mark.parametrize("schemes", [("ie",), ("ie", "lt", "ie")])
+    def test_other_than_two_configurations_rejected(self, schemes):
+        prob = ScalarDelayProblem(a=-0.3, b=-1.0, tau=-0.5,
+                                  history=lambda t: 1.0)
+        configs = [SchemeConfig(h=0.1, T=0.5, scheme=s) for s in schemes]
+        with pytest.raises(ParameterError,
+                           match=f"exactly two configurations, got {len(schemes)}"):
+            compare_runtime(prob, configs)
 
     def test_too_few_repetitions_rejected(self):
         prob = ScalarDelayProblem(a=-0.3, b=-1.0, tau=-0.5,

@@ -37,6 +37,12 @@ class TestDelayGrid:
         assert grid.delta == pytest.approx(0.057, abs=1e-12)
         assert not grid.is_integer_lag
 
+    def test_require_integer_lag_names_the_consumer_and_the_lag(self):
+        DelayGrid(h=0.001, tau=-0.257).require_integer_lag("snapped lags")
+        with pytest.raises(ParameterError, match=r"^field runs need an integer lag, "
+                                                 r"got -tau/h = 2\.57$"):
+            DelayGrid(h=0.1, tau=-0.257).require_integer_lag("field runs")
+
     @pytest.mark.parametrize("h,tau", [(0.0, -1.0), (-0.1, -1.0),
                                        (0.1, 0.0), (0.1, 0.5)])
     def test_invalid_parameters_rejected(self, h, tau):
@@ -217,7 +223,8 @@ class TestSegmentFromHistory:
         assert seg.dtype == float and seg.ndim == 1
 
     def test_rejects_fractional_lag(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"^kernel segments need an integer "
+                                                 r"lag, got -tau/h = 2\.5$"):
             segment_from_history(lambda t: t, DelayGrid(0.2, -0.5))
 
 

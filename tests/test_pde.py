@@ -605,7 +605,8 @@ class TestRunPde:
     def test_fractional_lag_rejected(self):
         prob = PdeProblem(kappa=0.02, lambda0=-0.8, b=-0.8, tau=-0.257,
                           Nx=4, history=zero_history)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"^field runs need an integer lag, "
+                                                 r"got -tau/h = 128\.5$"):
             run_pde(prob, SchemeConfig(h=0.002, T=1.0))
 
     def test_kernel_mode_rejected(self):
