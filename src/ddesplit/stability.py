@@ -322,7 +322,11 @@ def _max_row_norm(heads: np.ndarray, window: np.ndarray, m: int) -> float:
     The rows share one Hankel window, so prefix sums of |window| estimate
     every row norm in O(m) together.  Only the rows within rounding of the
     largest estimate are summed again, laid out as the dense rows, so the
-    result has the bits of the dense row sums.
+    result has the bits of the dense row sums.  When several rows tie, as
+    they do for alpha = 1 or beta = 0, two exact shortcuts keep the cost
+    O(m): integers below 2^53 sum exactly in every order, so the estimates
+    are the dense sums; and a row with at most one nonzero window entry
+    sums to fl(|head| + entry) in every order, since adding zeros is exact.
     """
     top = heads.size
     abs_window = np.abs(window)
@@ -336,10 +340,29 @@ def _max_row_norm(heads: np.ndarray, window: np.ndarray, m: int) -> float:
     slack = 16 * (m + 1) * _EPS * (prefix[-1] + abs_heads.max())
     # "not below" keeps every row when an estimate is not finite.
     near = np.flatnonzero(~(estimate < estimate.max() - slack))
-    rows = np.empty((near.size, m + 1))
-    rows[:, 0] = abs_heads[near]
-    rows[:, 1:] = abs_window[(m - near)[:, None] + np.arange(m)]
-    return float(rows.sum(axis=1).max())
+    if near.size == 1:
+        return float(_row_sums(abs_heads, abs_window, m, near)[0])
+    if (prefix[-1] + abs_heads.max() < 2.0 ** 53
+            and np.array_equal(np.trunc(abs_window), abs_window)
+            and np.array_equal(np.trunc(abs_heads), abs_heads)):
+        return float(estimate.max())
+    # Row i reads window[m - i : 2m - i]; count its nonzero entries.
+    nonzero = np.flatnonzero(abs_window)
+    first = np.searchsorted(nonzero, m - near)
+    count = np.searchsorted(nonzero, 2 * m - near) - first
+    entry = np.where(count == 1, np.append(abs_window[nonzero], 0.0)[first], 0.0)
+    sparse = (abs_heads[near] + entry)[count <= 1]
+    dense = _row_sums(abs_heads, abs_window, m, near[count > 1])
+    return float(np.concatenate((sparse, dense)).max())
+
+
+def _row_sums(abs_heads: np.ndarray, abs_window: np.ndarray, m: int,
+              index: np.ndarray) -> np.ndarray:
+    """Sums of the rows ``index`` of :func:`_max_row_norm`, laid out as the dense rows."""
+    rows = np.empty((index.size, m + 1))
+    rows[:, 0] = abs_heads[index]
+    rows[:, 1:] = abs_window[(m - index)[:, None] + np.arange(m)]
+    return rows.sum(axis=1)
 
 
 def companion_profiles(op: CompanionOperator, checkpoints: Sequence[int]

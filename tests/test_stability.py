@@ -17,6 +17,7 @@ from ddesplit.errors import (
 )
 from ddesplit.harness import char_root_rightmost
 from ddesplit.history import DelayGrid
+from ddesplit.pde import PdeProblem, assemble_system
 from ddesplit.scalar import ScalarDelayProblem, ie_step, ie_step_kernel, lt_step
 from ddesplit.stability import (
     CompanionOperator,
@@ -436,6 +437,43 @@ class TestCompanionProfiles:
         assert np.array_equal(r[:m], 2.0 * np.arange(1, m + 1))
         assert not r[m:].any()
 
+    # The diffusion resolvent S = (I + h kappa (-Delta_h))^{-1} is the
+    # sectorial present-state factor of the field model.  In the 2-norm its
+    # Ritt constant is max_k sup_n n s_k^{n-1} (1 - s_k) over its eigenvalues
+    # s_k, which is below 1 - s_k^n < 1 at every Nx and h, where the exact
+    # shift above peaks at 2m.  Values at kappa 0.02, pinned as measured.
+    @pytest.mark.parametrize("Nx,h,constant", [
+        (50, 1e-2, 0.6752009462062968), (50, 1e-3, 0.40426350688070034),
+        (50, 1e-4, 0.37167774350781), (200, 1e-2, 0.9699869378224992),
+        (200, 1e-3, 0.7636985493924535), (200, 1e-4, 0.4217246747735505),
+        (2000, 1e-2, 0.9996879095042852), (2000, 1e-3, 0.9968878365326054),
+        (2000, 1e-4, 0.9697263152279916),
+    ])
+    def test_diffusion_resolvent_is_ritt_bounded(self, Nx, h, constant):
+        s = _diffusion_resolvent_eigenvalues(Nx, h)
+        # n s^{n-1} (1 - s) rises while n <= s / (1 - s): it peaks at the next n.
+        n = np.floor(s / (1.0 - s)) + 1.0
+        ritt = (n * s ** (n - 1) * (1.0 - s)).max()
+        assert ritt == pytest.approx(constant, rel=1e-9)
+        assert ritt < 1.0
+
+    def test_diffusion_eigenvalues_and_ritt_peak_match_dense_powers(self):
+        Nx, h = 6, 0.01
+        problem = PdeProblem(kappa=0.02, lambda0=0.0, b=0.0, tau=-1.0, Nx=Nx,
+                             history=lambda t, x: np.zeros_like(x))
+        system = assemble_system(problem, h, 0.0, include_reaction=False)
+        S = np.linalg.inv(np.diag(system.diag) + np.diag(system.off, 1)
+                          + np.diag(system.off, -1))
+        s = _diffusion_resolvent_eigenvalues(Nx, h)
+        assert np.linalg.eigvalsh(S) == pytest.approx(np.sort(s), rel=1e-12)
+        peak, power = 0.0, np.eye(Nx)
+        for n in range(1, 2001):
+            step = power @ S
+            peak = max(peak, n * np.linalg.norm(step - power, 2))
+            power = step
+        n = np.arange(1, 2001)[:, None]
+        assert peak == pytest.approx((n * s ** (n - 1) * (1.0 - s)).max(), rel=1e-9)
+
     # The kernel step with a = b = 0 is the transport factor on (u, rho): u
     # stays and rho takes the transport resolvent.  Built densely, column by
     # column, at h = 1/m and tau = -1, its powers stay bounded by 1, but its
@@ -516,6 +554,32 @@ def _abs_power_norms(mat, n_max):
     return np.array(norms)
 
 
+def _diffusion_resolvent_eigenvalues(Nx, h):
+    """s_k = 1/(1 + h kappa mu_k) on (0, 1) at kappa 0.02, with the sine
+    eigenvalues mu_k = (4/dx^2) sin^2(k pi/(2(Nx + 1))) of -Delta_h."""
+    k = np.arange(1, Nx + 1)
+    mu = 4.0 * (Nx + 1) ** 2 * np.sin(k * np.pi / (2 * (Nx + 1))) ** 2
+    return 1.0 / (1.0 + h * 0.02 * mu)
+
+
+def _dense_row_sums(heads, window, m):
+    """Each row (heads[i], window[m-i : 2m-i]) of ``_max_row_norm``, summed densely."""
+    return [float(np.abs(np.concatenate(([heads[i]], window[m - i:2 * m - i]))).sum())
+            for i in range(heads.size)]
+
+
+@st.composite
+def _tied_row_windows(draw):
+    m = draw(st.integers(1, 40))
+    top = draw(st.integers(1, m + 1))
+    repeated = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=3))
+    entries = st.sampled_from([0.0] * 6 + [1.0, -2.0, 3.0, 2.0 ** 52, 1.0 / 3.0]
+                              + repeated)
+    heads = draw(st.lists(entries, min_size=top, max_size=top))
+    window = draw(st.lists(entries, min_size=2 * m, max_size=2 * m))
+    return np.array(heads), np.array(window), m
+
+
 class TestFirstRowSequence:
     # At m = 1 and 2 each step reads a value appended two or three steps
     # before.  m = 4100 exceeds the chunk, so every chunk is shorter than
@@ -570,10 +634,40 @@ class TestFirstRowSequence:
         w = rng.uniform(0.5, 1.5, m) * 10.0 ** rng.integers(-3, 4, size=m)
         window = np.concatenate((w, w))
         heads = np.full(m + 1, 0.5)
-        sums = [float(np.abs(np.concatenate(([heads[i]], window[m - i:2 * m - i]))).sum())
-                for i in range(m + 1)]
+        sums = _dense_row_sums(heads, window, m)
         assert len(set(sums)) > 1
         assert stability._max_row_norm(heads, window, m) == max(sums)
+
+    # Entries drawn from zeros, small integers, integers whose sums pass
+    # 2^53, and a few repeated values, so that many rows tie and take the
+    # integer and at-most-one-nonzero shortcuts.
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(_tied_row_windows())
+    @example((np.arange(5.0), np.repeat([1.0, 0.0], 4), 4))
+    @example((np.zeros(4), np.array([0.0, 0.3, 0.0, 0.0, 0.0, 0.0]), 3))
+    @example((np.full(3, 0.1), np.array([0.0, 0.2, 0.7, 0.0]), 2))
+    @example((np.full(2, 2.0 ** 52), np.array([1.0, 1.0]), 1))
+    @example((np.full(3, 1.0 / 3.0), np.ones(4), 2))
+    def test_equals_the_dense_row_sums_on_tied_rows(self, case):
+        heads, window, m = case
+        assert stability._max_row_norm(heads, window, m) == max(
+            _dense_row_sums(heads, window, m))
+
+    # Tied rows on the exact shift are integers, so the dense fallback sums
+    # only the checkpoints with a single near row: 2 rows in all, where
+    # summing every near row took 5293176.
+    def test_exact_shift_sums_two_rows_densely(self):
+        m = 1028
+        summed = []
+        row_sums = stability._row_sums
+
+        def counting(abs_heads, abs_window, m, index):
+            summed.append(index.size)
+            return row_sums(abs_heads, abs_window, m, index)
+
+        with mock.patch.object(stability, "_row_sums", counting):
+            companion_profiles(CompanionOperator(m, 1.0, 0.0), range(1, 3 * m + 3))
+        assert sum(summed) == 2
 
     # (m, alpha, beta, n): the step the O(m) row update reports overflow at.
     @pytest.mark.parametrize("m,alpha,beta,n", [
