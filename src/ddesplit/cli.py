@@ -10,12 +10,13 @@ Every experiment is reachable through one subcommand:
 * ``growth-fit``   exponential growth rate of a long scalar run
 * ``timing``       median wall-clock comparison of the two schemes
 
-Outputs are deterministic: numbers are written with 12 significant digits in
-scientific notation, line endings are always ``\\n``, and wall-clock times go
-to stderr rather than into the files, so identical invocations produce
-byte-identical outputs.  (The ``timing`` subcommand is the one exception:
-measured seconds are its payload.)  Exit codes: 0 success, 1 numerical or
-I/O failure, 2 usage error.
+Each handler returns its text and ``execute`` writes it to stdout or to
+``--out``.  Every printed float, CSV or JSON, reports included, has 12
+significant digits (``_fmt``); in JSON a non-finite float is ``null``.  Line
+endings are always ``\\n``, and wall-clock times go to stderr rather than
+into the files, so identical invocations produce byte-identical outputs.
+(The ``timing`` subcommand is the one exception: measured seconds are its
+payload.)  Exit codes: 0 success, 1 numerical or I/O failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -214,59 +215,40 @@ def parse(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
 
 
 def _fmt(value: float) -> str:
+    """The one float format: 12 significant digits in scientific notation."""
     return f"{value:.11e}"
 
 
-def _round12(value: float) -> float:
-    return float(_fmt(value))
-
-
-def _sanitize(obj):
-    """Replace non-finite floats by None so the JSON stays standard."""
+def _encode(obj):
+    """``obj`` for JSON: floats (float64 too) in 12 digits, non-finite ones None."""
     if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
+        return {k: _encode(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_encode(v) for v in obj]
+    if isinstance(obj, float):
+        return float(_fmt(obj)) if math.isfinite(obj) else None
     return obj
 
 
-def _write_text(text: str, path: Optional[str]) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+def _json(obj) -> str:
+    return json.dumps(_encode(obj), indent=2, sort_keys=True) + "\n"
 
 
-def _write_json(obj, path: Optional[str]) -> None:
-    _write_text(json.dumps(_sanitize(obj), indent=2, sort_keys=True) + "\n", path)
+def series_text(result, fmt: str, params: Optional[dict] = None) -> str:
+    """A run as CSV text (t,u or t,center,l2) or its JSON mirror.
 
-
-def write_series(result, fmt: str, path: Optional[str] = None,
-                 params: Optional[dict] = None) -> None:
-    """Serialize a run as CSV (t,u or t,center,l2) or the JSON mirror.
-
-    Values carry 12 significant digits; wall clock is deliberately not part
-    of the payload so repeated runs serialize identically.
+    Wall clock is deliberately not part of the payload so repeated runs
+    serialize identically.
     """
     if isinstance(result, PdeRunResult):
-        columns = [("t", result.times), ("center", result.center),
-                   ("l2", result.l2)]
+        columns = {"t": result.times, "center": result.center, "l2": result.l2}
     else:
-        columns = [("t", result.times), ("u", result.values)]
+        columns = {"t": result.times, "u": result.values}
     if fmt == "csv":
-        lines = [",".join(name for name, _ in columns)]
-        n = len(columns[0][1])
-        for i in range(n):
-            lines.append(",".join(_fmt(col[i]) for _, col in columns))
-        _write_text("\n".join(lines) + "\n", path)
-        return
-    obj = {name: [_round12(v) for v in col] for name, col in columns}
-    obj["scheme"] = result.scheme
-    obj["parameters"] = params or {}
-    _write_json(obj, path)
+        lines = [",".join(columns)]
+        lines += [",".join(map(_fmt, row)) for row in zip(*columns.values())]
+        return "\n".join(lines) + "\n"
+    return _json({**columns, "scheme": result.scheme, "parameters": params or {}})
 
 
 def _make_history(name: str, value: float):
@@ -295,18 +277,17 @@ def _pde_problem(ns) -> PdeProblem:
                       T_lambda=ns.T_lambda, L=ns.L)
 
 
-def _cmd_scalar(ns: argparse.Namespace) -> int:
+def _cmd_scalar(ns: argparse.Namespace) -> str:
     config = SchemeConfig(h=ns.h, T=ns.T, scheme=ns.scheme,
                           delay_mode=ns.delay_mode)
     result = run(_scalar_problem(ns), config)
     meta = {"a": ns.a, "a_mode": ns.a_mode, "b": ns.b, "tau": ns.tau,
             "h": ns.h, "T": ns.T, "history": ns.history}
-    write_series(result, ns.format, ns.out, params=meta)
     print(f"wall clock: {result.wall_clock:.3f} s", file=sys.stderr)
-    return 0
+    return series_text(result, ns.format, params=meta)
 
 
-def _cmd_pde(ns: argparse.Namespace) -> int:
+def _cmd_pde(ns: argparse.Namespace) -> str:
     problem = _pde_problem(ns)
     config = SchemeConfig(h=ns.h, T=ns.T, scheme=ns.scheme, delay_mode="grid")
     result = run_pde(problem, config)
@@ -314,20 +295,19 @@ def _cmd_pde(ns: argparse.Namespace) -> int:
             "lambda1": problem.lambda1, "T_lambda": problem.T_lambda,
             "b": problem.b, "tau": problem.tau, "Nx": problem.Nx,
             "L": problem.L, "h": ns.h, "T": ns.T}
-    write_series(result, ns.format, ns.out, params=meta)
     print(f"wall clock: {result.wall_clock:.3f} s", file=sys.stderr)
-    return 0
+    return series_text(result, ns.format, params=meta)
 
 
-def _cmd_stability(ns: argparse.Namespace) -> int:
+def _cmd_stability(ns: argparse.Namespace) -> str:
     problem = ScalarDelayProblem(a=ns.a, b=ns.b, tau=ns.tau,
                                  history=lambda t: 0.0)
     op = companion_operator(problem, ns.h)
     report = {
         "m": op.m,
-        "spectral_radius": _round12(spectral_radius(op)),
-        "os_norm": _round12(estimate_os_norm(problem, ns.h)),
-        "defect_norm": _round12(defect_norm(op)),
+        "spectral_radius": spectral_radius(op),
+        "os_norm": estimate_os_norm(problem, ns.h),
+        "defect_norm": defect_norm(op),
         "checkpoints": [],
         "summability": [],
         "ritt": [],
@@ -339,16 +319,13 @@ def _cmd_stability(ns: argparse.Namespace) -> int:
         ks = list(range(stride, n_max + 1, stride))
         if not ks or ks[-1] != n_max:
             ks.append(n_max)
-        s_vals, r_vals = companion_profiles(op, ks)
         report["checkpoints"] = ks
-        report["summability"] = [_round12(v) for v in s_vals]
-        report["ritt"] = [_round12(v) for v in r_vals]
-        report["power_norm_sum"] = _round12(companion_power_norm_sum(op, n_max))
-    _write_json(report, ns.out)
-    return 0
+        report["summability"], report["ritt"] = companion_profiles(op, ks)
+        report["power_norm_sum"] = companion_power_norm_sum(op, n_max)
+    return _json(report)
 
 
-def _cmd_oracle(ns: argparse.Namespace) -> int:
+def _cmd_oracle(ns: argparse.Namespace) -> str:
     p = OhiraParams(a=ns.a, b=ns.b, tau=ns.tau, omega_max=ns.omega_max,
                     n_nodes=ns.n_nodes)
     times = np.linspace(ns.t0, ns.t1, ns.num)
@@ -356,33 +333,28 @@ def _cmd_oracle(ns: argparse.Namespace) -> int:
     result = RunResult(times=times, values=values, scheme="oracle")
     meta = {"a": ns.a, "b": ns.b, "tau": ns.tau,
             "omega_max": ns.omega_max, "n_nodes": ns.n_nodes}
-    write_series(result, ns.format, ns.out, params=meta)
-    return 0
+    return series_text(result, ns.format, params=meta)
 
 
-def _cmd_convergence(ns: argparse.Namespace) -> int:
+def _cmd_convergence(ns: argparse.Namespace) -> str:
     pair = [tok.strip() for tok in ns.pair.split(",")]
     report = convergence_study(_scalar_problem(ns), pair, ns.h_list, ns.T)
-    _write_json(report.to_json(), ns.out)
-    return 0
+    return _json(report.to_json())
 
 
-def _cmd_growth_fit(ns: argparse.Namespace) -> int:
+def _cmd_growth_fit(ns: argparse.Namespace) -> str:
     config = SchemeConfig(h=ns.h, T=ns.T, scheme=ns.scheme, delay_mode="grid")
     result = run(_scalar_problem(ns), config)
-    fit = exp_growth_fit(result, ns.t_start)
-    report = fit.to_json()
+    report = exp_growth_fit(result, ns.t_start).to_json()
     if ns.char_root:
         if ns.a_mode != "constant":
             raise ParameterError("characteristic-root cross-check needs a "
                                  "constant reaction coefficient")
-        root = char_root_rightmost(ns.a, ns.b, ns.tau)
-        report["omega_ref"] = _round12(root.real)
-    _write_json(report, ns.out)
-    return 0
+        report["omega_ref"] = char_root_rightmost(ns.a, ns.b, ns.tau).real
+    return _json(report)
 
 
-def _cmd_timing(ns: argparse.Namespace) -> int:
+def _cmd_timing(ns: argparse.Namespace) -> str:
     defaults = parse(_TIMING_TARGETS[ns.target])
     problem = (_scalar_problem if ns.target == "scalar" else _pde_problem)(defaults)
     h = ns.h if ns.h is not None else defaults.h
@@ -390,8 +362,7 @@ def _cmd_timing(ns: argparse.Namespace) -> int:
     pair = (SchemeConfig(h=h, T=T, scheme="ie"),
             SchemeConfig(h=h, T=T, scheme="lt"))
     report = compare_runtime(problem, pair, repetitions=ns.reps)
-    _write_json(report.to_json(), ns.out)
-    return 0
+    return _json(report.to_json())
 
 
 _HANDLERS = {
@@ -408,10 +379,16 @@ _HANDLERS = {
 def execute(ns: argparse.Namespace) -> int:
     """Run a parsed command; 0 on success, 1 on numerical or I/O failure."""
     try:
-        return _HANDLERS[ns.subcommand](ns)
+        text = _HANDLERS[ns.subcommand](ns)
+        if ns.out is None or ns.out == "-":
+            sys.stdout.write(text)
+        else:
+            with open(ns.out, "w", newline="") as fh:
+                fh.write(text)
     except (ParameterError, NumericalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

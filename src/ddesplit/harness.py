@@ -68,12 +68,16 @@ class RuntimeReport:
         return out
 
 
-def _two(pair, what: str) -> tuple:
-    """``pair`` as a tuple, checked to hold exactly two ``what``."""
+def _two(pair, what: str, parse=lambda item: item) -> tuple:
+    """The two ``what`` in ``pair``, each through ``parse``, checked to differ."""
     pair = tuple(pair)
     if len(pair) != 2:
         raise ParameterError(f"need exactly two {what}, got {len(pair)}: {pair!r}")
-    return pair
+    first, second = map(parse, pair)
+    if first == second:
+        raise ParameterError(f"the two {what} are the same: "
+                             f"{pair[0]!r} and {pair[1]!r}")
+    return first, second
 
 
 def _parse_variant(tag: str) -> Tuple[str, str]:
@@ -96,7 +100,7 @@ def convergence_study(problem: ScalarDelayProblem,
     identically-zero gaps are reported as a degenerate fit instead of a
     meaningless line.
     """
-    variants = [_parse_variant(tag) for tag in _two(scheme_pair, "variants")]
+    variants = _two(scheme_pair, "variants", _parse_variant)
     hs = np.asarray(list(h_list), dtype=float)
     if hs.size < 3:
         raise ParameterError("need at least 3 step sizes for a slope")
@@ -177,8 +181,6 @@ def char_root_rightmost(a: float, b: float, tau: float) -> complex:
 def _runtime_labels(config_pair: Tuple[SchemeConfig, SchemeConfig]) -> Tuple[str, str]:
     """One label per configuration: its scheme, plus what tells two of one scheme apart."""
     first, second = config_pair
-    if first == second:
-        raise ParameterError(f"both configurations are {first}")
     if first.scheme != second.scheme:
         return first.scheme, second.scheme
     if first.delay_mode != second.delay_mode:

@@ -104,14 +104,24 @@ class RingBuffer(collections.deque):
 
 def init_from_history(history: Callable[[float], object],
                       grid: DelayGrid) -> RingBuffer:
-    """Fill a buffer with samples ``history(tau + j*h)``, oldest first.
+    """Fill a buffer with the history's grid samples, oldest first.
 
-    The buffer holds what a delayed read needs: m entries for an integer lag
-    and m + 1 for a fractional one.  Every sample time lies in [tau, 0): the
-    value at 0 is the initial state, which the run loop pushes itself.
+    The buffer holds what a delayed read needs.  An integer lag takes the m
+    samples ``history(tau + j*h)``, j = 0..m-1.  A fractional lag takes the m
+    grid samples at -m*h, ..., -h behind one more entry, the value at
+    -(m+1)*h that makes the interpolated read at tau equal ``history(tau)``:
+    ``(history(tau) - (1 - w) history(-m*h)) / w`` with w = delta/h.  So
+    history-phase reads interpolate grid samples, as every later read does.
+    Every sample time lies in [tau, 0): the value at 0 is the initial state,
+    which the run loop pushes itself.
     """
-    size = grid.m if grid.is_integer_lag else grid.m + 1
-    return RingBuffer([history(grid.tau + j * grid.h) for j in range(size)])
+    h, m = grid.h, grid.m
+    if grid.is_integer_lag:
+        return RingBuffer([history(grid.tau + j * h) for j in range(m)])
+    w = grid.delta / h
+    at_tau = history(grid.tau)
+    samples = [history(-j * h) for j in range(m, 0, -1)]
+    return RingBuffer([(at_tau - (1.0 - w) * samples[0]) / w, *samples])
 
 
 def delayed_value(buffer: RingBuffer, grid: DelayGrid):

@@ -97,10 +97,12 @@ class SchemeConfig:
 
     @property
     def level(self) -> int:
-        """1 (new) for ie, 0 (old) for lt: the time level of a(.) and of the
-        delayed read, which ie takes after the history shift, at t_{n+1} + tau,
-        and lt before it, at t_n + tau.  Grid runs realize the read level as
-        the buffer depth: lt's buffer holds one entry more."""
+        """1 (new) for ie, 0 (old) for lt: the time level of the reaction
+        coefficient.  In scalar grid runs it is also the level of the delayed
+        read, which ie takes after the history shift, at t_{n+1} + tau, and lt
+        before it, at t_n + tau; the buffer depth realizes it, as lt's buffer
+        holds one entry more.  Field runs (``run_pde``) read the delay after
+        the shift for both schemes, so there it sets only the level of lambda."""
         return 1 if self.scheme == "ie" else 0
 
 

@@ -361,6 +361,14 @@ class TestConvergenceOutput:
         assert captured.err.startswith(f"error: need exactly two variants, got {count}: ")
         assert captured.out == ""
 
+    def test_identical_variants_are_a_runtime_error(self, capsys):
+        rc = main(["convergence", "--pair", "ie,ie-grid"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == ("error: the two variants are the same: "
+                                "'ie' and 'ie-grid'\n")
+        assert captured.out == ""
+
 
 class TestGrowthFitOutput:
     GEOMETRIC = ["growth-fit", "--b", "0", "--a", "-0.5", "--tau", "-1",
@@ -422,3 +430,33 @@ class TestTimingOutput:
                                                                 ("lt", h, T)]
         for name, value in expected.items():
             assert getattr(problem, name) == value, name
+
+
+def _floats(obj):
+    """Every float in a decoded JSON document."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        for item in obj:
+            yield from _floats(item)
+    elif isinstance(obj, float):
+        yield obj
+
+
+# One small invocation per subcommand, each printing JSON.
+@pytest.mark.parametrize("argv", [
+    SCALAR_ARGS + ["--format", "json"],
+    PDE_ARGS + ["--format", "json"],
+    ["stability", "--tau", "-0.003", "--h", "0.001", "--profile-n", "50"],
+    ["oracle", "--num", "5", "--format", "json"],
+    ["convergence", "--tau", "-0.5", "--history", "const",
+     "--h-list", "0.1,0.05,0.025", "--T", "2"],
+    ["growth-fit", "--a", "-1", "--b", "-10", "--tau", "-2", "--T", "60",
+     "--t-start", "20", "--char-root"],
+    ["timing", "--target", "scalar", "--h", "0.05", "--T", "1", "--reps", "3"],
+], ids=lambda argv: argv[0])
+def test_every_printed_float_has_12_significant_digits(argv, capsys):
+    assert main(argv) == 0
+    values = list(_floats(json.loads(capsys.readouterr().out)))
+    assert values
+    assert [v for v in values if float(f"{v:.11e}") != v] == []

@@ -119,6 +119,14 @@ class TestConvergenceStudy:
         with pytest.raises(ParameterError, match=f"exactly two variants, got {len(variants)}"):
             convergence_study(prob, variants, [0.1, 0.05, 0.025], T=1.0)
 
+    @pytest.mark.parametrize("pair", [("ie", "ie-grid"), ("lt-kernel", "lt-kernel")])
+    def test_identical_variants_rejected(self, pair):
+        prob = ScalarDelayProblem(a=-1.0, b=0.0, tau=-0.5,
+                                  history=lambda t: 1.0)
+        with pytest.raises(ParameterError, match=(
+                f"the two variants are the same: '{pair[0]}' and '{pair[1]}'")):
+            convergence_study(prob, pair, [0.1, 0.05, 0.025], T=1.0)
+
 
 class TestGrowthFit:
     def test_recovers_an_exact_exponential(self):
@@ -290,7 +298,8 @@ class TestCompareRuntime:
         prob = ScalarDelayProblem(a=-0.3, b=-1.0, tau=-0.5,
                                   history=lambda t: 1.0)
         cfg = SchemeConfig(h=0.1, T=0.5, scheme="ie")
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError,
+                           match="the two configurations are the same: "):
             compare_runtime(prob, (cfg, SchemeConfig(h=0.1, T=0.5, scheme="ie")))
 
     @pytest.mark.parametrize("schemes", [("ie",), ("ie", "lt", "ie")])

@@ -165,8 +165,17 @@ class TestInitFromHistory:
         buf = init_from_history(lambda t: seen.append(t) or 2.0 * t + 1.0, grid)
         assert len(buf) == (grid.m if grid.is_integer_lag else grid.m + 1)
         assert max(seen) < 0.0
-        assert seen == [grid.tau + j * grid.h for j in range(len(buf))]
-        assert list(buf) == [2.0 * t + 1.0 for t in seen]
+        if grid.is_integer_lag:
+            assert seen == [grid.tau + j * grid.h for j in range(grid.m)]
+            assert list(buf) == [2.0 * t + 1.0 for t in seen]
+            return
+        # The grid samples at -m h, ..., -h, behind the entry that makes the
+        # interpolated read at tau the history's value there.
+        grid_times = [-j * grid.h for j in range(grid.m, 0, -1)]
+        assert seen == [grid.tau, *grid_times]
+        assert list(buf)[1:] == [2.0 * t + 1.0 for t in grid_times]
+        assert delayed_value(buf, grid) == pytest.approx(
+            2.0 * grid.tau + 1.0, rel=1e-12, abs=1e-15 * (1.0 - 2.0 * grid.tau))
 
 
 class TestDelayedValue:

@@ -4,10 +4,11 @@ import itertools
 import math
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ddesplit.errors import DivergenceError, ParameterError, SingularStepError
@@ -354,19 +355,46 @@ class TestRunGrid:
             run(prob, SchemeConfig(h=0.5, T=0.5 * (step + 3), scheme=scheme))
         assert exc.value.step == step
 
-    # The buffer holds history(tau + j h) and interpolates as if those were
-    # the samples at the grid times -(m + 1 - j) h, which lie h - delta below.
-    @pytest.mark.xfail(strict=True,
-                       reason="fractional-lag read off by the sample offset: with "
-                              "h = 0.1, tau = -0.25 and history t -> t, lt's read "
-                              "at t_0 gives -0.20 where u(-0.25) = -0.25, and "
-                              "ie's read at t_1 gives -0.10 where u(-0.15) = -0.15")
+    # lt reads at t_0 + tau = -0.25, ie at t_1 + tau = -0.15; a linear
+    # history interpolates exactly between its grid samples.
     @pytest.mark.parametrize("scheme,exact", [("lt", -0.25), ("ie", -0.15)])
     def test_fractional_lag_reads_the_delayed_time(self, scheme, exact):
         # a = 0, b = 1: u_1 = u_0 + h u_delay with u_0 = 0.
         prob = ScalarDelayProblem(a=0.0, b=1.0, tau=-0.25, history=lambda t: t)
         u1 = run(prob, SchemeConfig(h=0.1, T=0.1, scheme=scheme)).values[1]
         assert u1 / 0.1 == pytest.approx(exact, rel=1e-12)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.sampled_from(["ie", "lt"]), st.floats(1e-3, 1.0), st.integers(1, 40),
+           st.sampled_from([2e-9, 5e-9, 1e-7, 0.3, 0.5, 0.999, 1 - 5e-9]),
+           st.floats(2.0, 3.0), st.floats(-1.0, 1.0))
+    @example("lt", 0.1, 1, 2e-9, 2.0, 1.0)  # w = delta/h = 2e-9, unsnapped
+    @example("ie", 0.1, 1, 2e-9, 2.0, 1.0)
+    @example("lt", 0.1, 3, 1 - 5e-9, 2.0, -1.0)  # w = 1 - 5e-9
+    def test_history_phase_reads_are_exact_for_a_linear_history(
+            self, scheme, h, m, offset, c, s):
+        # tau = -(m + offset) h; the history runs between c - s and c on [tau, 0].
+        # Lags that snap to an integer take the integer branch, pinned by bits.
+        tau = -(m + offset) * h
+        assume(not DelayGrid(h, tau).is_integer_lag)
+        reads = []
+
+        def history(t):
+            return c + s * t / -tau
+
+        def spy(buffer, grid):
+            reads.append(delayed_value(buffer, grid))
+            return reads[-1]
+
+        prob = ScalarDelayProblem(a=0.0, b=0.0, tau=tau, history=history)
+        with mock.patch("ddesplit.scalar.delayed_value", spy):
+            run(prob, SchemeConfig(h=h, T=(m + 1) * h, scheme=scheme))
+        level = 1 if scheme == "ie" else 0
+        delayed_times = [(n + level) * h + tau for n in range(len(reads))]
+        phase = [(t, value) for t, value in zip(delayed_times, reads) if t <= 0.0]
+        assert len(phase) >= m
+        for t, value in phase:
+            assert value == pytest.approx(history(t), rel=1e-12)
 
     def test_wall_clock_recorded(self):
         prob = ScalarDelayProblem(a=-1.0, b=0.0, tau=-0.5,
