@@ -2,9 +2,10 @@
 
     u_t = kappa u_xx + lambda(t) u + b u(t + tau, x),   tau < 0.
 
-Two first-order schemes share the field ring buffer.  Both read the delayed
-field explicitly from the post-shift oldest buffer entry; ``run_pde`` calls
-each at the time level ``SchemeConfig.level`` of its reaction coefficient.
+Both first-order schemes are pure one-step maps of the present and the
+delayed field.  ``run_pde`` alone owns the history: it pushes the present
+field, hands the step the post-shift oldest entry, and calls each scheme at
+the time level ``SchemeConfig.level`` of its reaction coefficient.
 
 * implicit Euler (level 1): one backward step of the full stiff part.  A
   step handed the factored system substitutes against it; a step handed
@@ -15,9 +16,10 @@ each at the time level ``SchemeConfig.level`` of its reaction coefficient.
   and with them the step's time depended on the thread regime and on
   host load.  ``run_pde`` hands over the factors exactly when the reaction
   coefficient is constant.
-* Lie-Trotter splitting (level 0): cached implicit diffusion solve,
-  ring-buffer transport shift, then a pointwise algebraic reaction/delay
-  update with the coefficient frozen at the old time level.
+* Lie-Trotter splitting (level 0): cached implicit diffusion solve, then a
+  pointwise algebraic reaction/delay update with the coefficient frozen at
+  the old time level.  With the post-shift read it splits diffusion from
+  reaction, not the history transport.
 
 The assembled systems are symmetric, so ``Tridiag`` stores one
 off-diagonal, and they are positive definite whenever 1 - h lambda > 0.
@@ -45,7 +47,7 @@ from .errors import (
     require_finite,
     require_integer,
 )
-from .history import DelayGrid, RingBuffer, init_from_history
+from .history import DelayGrid, init_from_history
 from .scalar import EPS_DEN, SchemeConfig
 
 # ``scipy.linalg.lapack``, bound by ``_load_lapack`` at the first
@@ -222,14 +224,14 @@ def thomas_solve(sys: Tridiag, rhs: np.ndarray) -> np.ndarray:
     return x[:n]
 
 
-def ie_pde_step(u_n: np.ndarray, buffer: RingBuffer, t_new: float,
+def ie_pde_step(u_n: np.ndarray, u_delay: np.ndarray, t_new: float,
                 problem: PdeProblem, h: float,
                 cache: Optional[Tridiag] = None) -> np.ndarray:
     """One implicit Euler step to time ``t_new``.
 
-    Shifts the buffer (pushing ``u_n``), reads the post-shift oldest field as
-    the delayed value, and solves (I - h kappa Delta_h - h lambda(t_new)) u =
-    u_n + h b u_delay.  A factored ``cache`` of that system is substituted
+    Solves (I - h kappa Delta_h - h lambda(t_new)) u = u_n + h b u_delay
+    and writes to neither input; ``run_pde`` passes the post-shift oldest
+    field as ``u_delay``.  A factored ``cache`` of that system is substituted
     by ``thomas_solve``.  Without one the system is assembled at ``t_new``
     and its lower triangle solved by one ``dsysv`` call, which factors the
     Fortran-order array in place (``overwrite_a``, no copy); the default
@@ -248,8 +250,7 @@ def ie_pde_step(u_n: np.ndarray, buffer: RingBuffer, t_new: float,
     Where scipy's OpenBLAS lacks the symbol, ``dsysv`` runs with the
     default threads.
     """
-    buffer.push(u_n)
-    rhs = u_n + h * problem.b * buffer[0]
+    rhs = u_n + h * problem.b * u_delay
     if cache is not None:
         return thomas_solve(cache, rhs)
     _load_lapack()
@@ -273,20 +274,20 @@ def ie_pde_step(u_n: np.ndarray, buffer: RingBuffer, t_new: float,
     return x
 
 
-def lt_pde_step(u_n: np.ndarray, buffer: RingBuffer, t_n: float,
+def lt_pde_step(u_n: np.ndarray, u_delay: np.ndarray, t_n: float,
                 problem: PdeProblem, h: float, cache: Tridiag) -> np.ndarray:
     """One splitting step from time ``t_n``.
 
     Implicit diffusion solve against the cached reaction-free factorization,
-    ring-buffer transport shift, then the pointwise reaction/delay update
-    (u* + h b u_delay)/(1 - h lambda(t_n)) on the post-shift oldest field.
+    then the pointwise reaction/delay update (u* + h b u_delay)/(1 - h
+    lambda(t_n)); writes to neither input.  ``run_pde`` passes the post-shift
+    oldest field as ``u_delay``, as for ``ie_pde_step``.
     """
     u_star = thomas_solve(cache, u_n)
-    buffer.push(u_n)
     den = 1.0 - h * problem.lam(t_n)
     if abs(den) <= EPS_DEN:
         raise SingularStepError(f"1 - h*lambda = {den} below guard")
-    return (u_star + h * problem.b * buffer[0]) / den
+    return (u_star + h * problem.b * u_delay) / den
 
 
 @dataclass
@@ -345,6 +346,7 @@ def run_pde(problem: PdeProblem, config: SchemeConfig) -> PdeRunResult:
     l2 = np.empty(n_steps + 1)
 
     # ie caches the full system when it is autonomous, lt the diffusion part.
+    # Both steps read the delayed field after the shift, whatever the level.
     level = config.level
     step = ie_pde_step if level else lt_pde_step
     cache = None
@@ -353,7 +355,8 @@ def run_pde(problem: PdeProblem, config: SchemeConfig) -> PdeRunResult:
     # Pass 0 records the initial field under the same finiteness rule.
     for n in range(n_steps + 1):
         if n:
-            u = step(u, buffer, (n - 1 + level) * h, problem, h, cache)
+            buffer.push(u)
+            u = step(u, buffer[0], (n - 1 + level) * h, problem, h, cache)
         sq = float(u.dot(u))
         # An overflowing sum of finite squares is not a divergence.
         if not math.isfinite(sq) and not np.isfinite(u).all():

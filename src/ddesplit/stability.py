@@ -325,8 +325,9 @@ def _max_row_norm(heads: np.ndarray, window: np.ndarray, m: int) -> float:
     result has the bits of the dense row sums.  When several rows tie, as
     they do for alpha = 1 or beta = 0, two exact shortcuts keep the cost
     O(m): integers below 2^53 sum exactly in every order, so the estimates
-    are the dense sums; and a row with at most one nonzero window entry
-    sums to fl(|head| + entry) in every order, since adding zeros is exact.
+    are the dense sums; and a row with at most two nonzero entries, head
+    included, sums to fl(x + y) of those two in every order, since adding
+    zeros is exact.
     """
     top = heads.size
     abs_window = np.abs(window)
@@ -346,14 +347,18 @@ def _max_row_norm(heads: np.ndarray, window: np.ndarray, m: int) -> float:
             and np.array_equal(np.trunc(abs_window), abs_window)
             and np.array_equal(np.trunc(abs_heads), abs_heads)):
         return float(estimate.max())
-    # Row i reads window[m - i : 2m - i]; count its nonzero entries.
+    # Row i reads window[m - i : 2m - i]; count its nonzero entries and take
+    # the first two, or zero where there are fewer.
     nonzero = np.flatnonzero(abs_window)
     first = np.searchsorted(nonzero, m - near)
     count = np.searchsorted(nonzero, 2 * m - near) - first
-    entry = np.where(count == 1, np.append(abs_window[nonzero], 0.0)[first], 0.0)
-    sparse = (abs_heads[near] + entry)[count <= 1]
-    dense = _row_sums(abs_heads, abs_window, m, near[count > 1])
-    return float(np.concatenate((sparse, dense)).max())
+    values = np.append(abs_window[nonzero], (0.0, 0.0))
+    e1, e2 = (np.where(count > k, values[first + k], 0.0) for k in (0, 1))
+    # With at most two nonzero entries, head included, one term is zero.
+    sparse = count + (abs_heads[near] != 0) <= 2
+    sums = ((abs_heads[near] + e1) + e2)[sparse]
+    dense = _row_sums(abs_heads, abs_window, m, near[~sparse])
+    return float(np.concatenate((sums, dense)).max())
 
 
 def _row_sums(abs_heads: np.ndarray, abs_window: np.ndarray, m: int,

@@ -119,7 +119,6 @@ def test_uncached_ie_step_as_first_lapack_call():
     # A modulated ie step handed no factors solves densely, and must bind
     # lapack itself.
     run_fresh("""
-        from ddesplit.history import RingBuffer
         from ddesplit.pde import PdeProblem, assemble_system, ie_pde_step
 
         problem = PdeProblem(kappa=0.5, lambda0=-0.5, lambda1=0.2, b=0.3,
@@ -127,7 +126,7 @@ def test_uncached_ie_step_as_first_lapack_call():
         u = np.array([1.0, -2.0, 0.5, 3.0])
         delayed = np.array([0.25, 0.5, -1.0, 2.0])
         assert_no_scipy()
-        x = ie_pde_step(u, RingBuffer([u, delayed]), 0.1, problem, 0.1)
+        x = ie_pde_step(u, delayed, 0.1, problem, 0.1)
         assert "scipy.linalg" in sys.modules
         sys_ = assemble_system(problem, 0.1, 0.1, include_reaction=True)
         dense = np.diag(sys_.diag) + np.diag(sys_.off, -1) + np.diag(sys_.off, 1)

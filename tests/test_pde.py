@@ -19,7 +19,7 @@ from ddesplit.errors import (
     SingularStepError,
     SingularSystemError,
 )
-from ddesplit.history import DelayGrid, RingBuffer, init_from_history
+from ddesplit.history import DelayGrid, init_from_history
 from ddesplit.pde import (
     PdeProblem,
     Tridiag,
@@ -30,7 +30,14 @@ from ddesplit.pde import (
     run_pde,
     thomas_solve,
 )
-from ddesplit.scalar import SchemeConfig
+from ddesplit.scalar import (
+    ScalarDelayProblem,
+    SchemeConfig,
+    ie_step,
+    ie_step_kernel,
+    lt_step_kernel,
+    run,
+)
 
 BENCH_KW = dict(kappa=0.02, lambda0=-0.8, b=-0.8, tau=-0.6)
 
@@ -314,17 +321,14 @@ def blas_threads():
 
 
 class TestFieldSteps:
-    def _buffer(self, nx, m=1):
-        return RingBuffer([np.zeros(nx) for _ in range(m)])
-
     def test_zero_field_stays_zero(self):
         prob = PdeProblem(Nx=7, history=zero_history, **BENCH_KW)
         h = 0.01
         u = np.zeros(7)
-        out = ie_pde_step(u, self._buffer(7), h, prob, h)
+        out = ie_pde_step(u, u, h, prob, h)
         assert np.array_equal(out, np.zeros(7))
         cache = assemble_system(prob, h, 0.0, include_reaction=False).factorize()
-        out = lt_pde_step(u, self._buffer(7), 0.0, prob, h, cache)
+        out = lt_pde_step(u, u, 0.0, prob, h, cache)
         assert np.array_equal(out, np.zeros(7))
 
     def test_pointwise_reduction_without_diffusion(self):
@@ -332,10 +336,10 @@ class TestFieldSteps:
                           history=zero_history)
         h = 0.1
         u = np.array([1.0, -2.0, 0.5, 3.0, -0.25])
-        out_ie = ie_pde_step(u.copy(), self._buffer(5), h, prob, h)
+        out_ie = ie_pde_step(u.copy(), np.zeros(5), h, prob, h)
         assert out_ie == pytest.approx(u / 1.08, rel=1e-14)
         cache = assemble_system(prob, h, 0.0, include_reaction=False).factorize()
-        out_lt = lt_pde_step(u.copy(), self._buffer(5), 0.0, prob, h, cache)
+        out_lt = lt_pde_step(u.copy(), np.zeros(5), 0.0, prob, h, cache)
         assert out_lt == pytest.approx(u / 1.08, rel=1e-14)
 
     def test_discrete_eigenmode_decay(self):
@@ -345,7 +349,7 @@ class TestFieldSteps:
         h = 0.01
         u = np.sin(np.pi * prob.xgrid)
         mu1 = 2.0 / prob.dx ** 2 * (1.0 - math.cos(math.pi * prob.dx))
-        out = ie_pde_step(u, self._buffer(nx), h, prob, h)
+        out = ie_pde_step(u, np.zeros(nx), h, prob, h)
         assert out == pytest.approx(u / (1.0 + h * prob.kappa * mu1),
                                     rel=1e-12)
 
@@ -358,7 +362,7 @@ class TestFieldSteps:
                               b=0.0, tau=-1.0, Nx=nx, history=zero_history)
             h = float(rng.uniform(0.01, 0.5))
             u = rng.standard_normal(nx)
-            out = ie_pde_step(u, self._buffer(nx), h, prob, h)
+            out = ie_pde_step(u, np.zeros(nx), h, prob, h)
             assert np.abs(out).max() <= np.abs(u).max() + 1e-12
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -378,8 +382,8 @@ class TestFieldSteps:
             return
         rng = np.random.default_rng(seed)
         u, delayed = rng.standard_normal((2, nx))
-        cached = ie_pde_step(u, RingBuffer([delayed]), h, prob, h, cache=sys.factorize())
-        ref = ie_pde_step(u, RingBuffer([delayed]), h, prob, h, cache=None)
+        cached = ie_pde_step(u, delayed, h, prob, h, cache=sys.factorize())
+        ref = ie_pde_step(u, delayed, h, prob, h, cache=None)
         assert np.abs(cached - ref).max() <= 1e-12 * cond * np.abs(ref).max()
         # L D L^T exactly for the positive definite systems.
         assert (len(sys._factor) == 2) == (np.linalg.eigvalsh(dense).min() > 0)
@@ -405,7 +409,7 @@ class TestFieldSteps:
             return
         rng = np.random.default_rng(seed)
         u, delayed = rng.standard_normal((2, nx))
-        x = ie_pde_step(u, RingBuffer([np.zeros(nx), delayed]), h, prob, h, cache=None)
+        x = ie_pde_step(u, delayed, h, prob, h, cache=None)
         ref = np.linalg.solve(dense, u + h * prob.b * delayed)
         assert np.abs(x - ref).max() <= 1e-12 * cond * np.abs(ref).max()
 
@@ -415,7 +419,7 @@ class TestFieldSteps:
         prob = PdeProblem(kappa=0.0, lambda0=1.0, lambda1=1.0, T_lambda=2.0, b=0.0,
                           tau=-1.0, Nx=nx, history=zero_history)
         with pytest.raises(SingularSystemError, match=r"t = 0\.5 \(info=1\)"):
-            ie_pde_step(np.ones(nx), self._buffer(nx), 0.5, prob, 0.5)
+            ie_pde_step(np.ones(nx), np.zeros(nx), 0.5, prob, 0.5)
 
     # Nx 300 at the preset's h and kappa: h lambda(t_new) -0.0016 gives a
     # definite system, 5 an indefinite one (its diagonal spans 1 + 2r +- 2r,
@@ -431,7 +435,7 @@ class TestFieldSteps:
         delayed = oscillating_history(-0.6, prob.xgrid)
 
         def step():
-            return ie_pde_step(u, RingBuffer([np.zeros(300), delayed]), h, prob, h)
+            return ie_pde_step(u, delayed, h, prob, h)
 
         limited = step()
         monkeypatch.setattr(pde, "_set_blas_threads", None)
@@ -447,7 +451,7 @@ class TestFieldSteps:
         real = pde.lapack.dsysv
         monkeypatch.setattr(pde, "lapack", SimpleNamespace(dsysv=dsysv))
         prob = PdeProblem(Nx=30, lambda1=0.2, history=oscillating_history, **BENCH_KW)
-        ie_pde_step(np.ones(30), self._buffer(30), 0.002, prob, 0.002)
+        ie_pde_step(np.ones(30), np.ones(30), 0.002, prob, 0.002)
         assert seen == [1]
         assert blas_threads() == 2
 
@@ -460,7 +464,7 @@ class TestFieldSteps:
         prob = PdeProblem(kappa=0.0, lambda0=1.0, lambda1=1.0, T_lambda=2.0, b=0.0,
                           tau=-1.0, Nx=3, history=zero_history)
         with pytest.raises(SingularSystemError, match=r"info=1"):
-            ie_pde_step(np.ones(3), self._buffer(3), 0.5, prob, 0.5)
+            ie_pde_step(np.ones(3), np.zeros(3), 0.5, prob, 0.5)
         assert blas_threads() == 2
 
     def test_concurrent_runs_restore_the_thread_count(self, blas_threads):
@@ -494,7 +498,7 @@ class TestFieldSteps:
         monkeypatch.setattr(pde, "lapack", SimpleNamespace(dsysv=dsysv))
         prob = PdeProblem(Nx=3, lambda1=0.2, history=oscillating_history, **BENCH_KW)
         with pytest.raises(RuntimeError, match="solver failed"):
-            ie_pde_step(np.ones(3), self._buffer(3), 0.002, prob, 0.002)
+            ie_pde_step(np.ones(3), np.ones(3), 0.002, prob, 0.002)
         assert blas_threads() == 2
 
     def test_splitting_respects_the_sup_norm_budget(self):
@@ -522,12 +526,12 @@ class TestFieldSteps:
         xg = prob.xgrid
         samples = list(init_from_history(
             lambda t: oscillating_history(t, xg), grid))
-        buffer = RingBuffer(samples)
         u0 = oscillating_history(0.0, xg)
         stacked = np.array(samples)
         self._hist_range = (stacked.min(), stacked.max())
         cache = assemble_system(prob, h, 0.0, include_reaction=False).factorize()
-        u1 = lt_pde_step(u0, buffer, 0.0, prob, h, cache)
+        # After run_pde pushes u0, the oldest sample is the one at tau + h.
+        u1 = lt_pde_step(u0, samples[1], 0.0, prob, h, cache)
         hist_max = max(abs(self._hist_range[0]), abs(self._hist_range[1]),
                        np.abs(u0).max())
         return u1, u0, hist_max, prob, h
@@ -537,7 +541,7 @@ class TestFieldSteps:
                           history=zero_history)
         cache = assemble_system(prob, 0.1, 0.0, include_reaction=False).factorize()
         with pytest.raises(SingularStepError):
-            lt_pde_step(np.ones(3), self._buffer(3), 0.0, prob, 0.1, cache)
+            lt_pde_step(np.ones(3), np.zeros(3), 0.0, prob, 0.1, cache)
 
 
 class TestRunPde:
@@ -627,7 +631,8 @@ class TestRunPde:
         for n in range(round(T / h)):
             fresh = assemble_system(prob, h, 0.0,
                                     include_reaction=False).factorize()
-            u = lt_pde_step(u, buffer, n * h, prob, h, fresh)
+            buffer.push(u)
+            u = lt_pde_step(u, buffer[0], n * h, prob, h, fresh)
         assert np.array_equal(u, res.final)
 
     def test_implicit_cache_matches_per_step_assembly(self):
@@ -642,7 +647,8 @@ class TestRunPde:
         for n in range(round(T / h)):
             fresh = assemble_system(prob, h, (n + 1) * h,
                                     include_reaction=True).factorize()
-            u = ie_pde_step(u, buffer, (n + 1) * h, prob, h, fresh)
+            buffer.push(u)
+            u = ie_pde_step(u, buffer[0], (n + 1) * h, prob, h, fresh)
         assert np.array_equal(u, res.final)
 
     @pytest.mark.parametrize("scheme, lambda1, count", [
@@ -677,11 +683,50 @@ class TestRunPde:
         diffusion = assemble_system(prob, h, 0.0, include_reaction=False).factorize()
         u = np.asarray(oscillating_history(0.0, xg))
         for n in range(round(T / h)):
+            buffer.push(u)
             if scheme == "ie":
-                u = ie_pde_step(u, buffer, (n + level) * h, prob, h)
+                u = ie_pde_step(u, buffer[0], (n + level) * h, prob, h)
             else:
-                u = lt_pde_step(u, buffer, (n + level) * h, prob, h, diffusion)
+                u = lt_pde_step(u, buffer[0], (n + level) * h, prob, h, diffusion)
         assert np.array_equal(u, res.final)
+
+    # (lambda0, b, tau, h): the bench parameters at m 300, a growing
+    # problem at m 5, and the scalar bench depth m 257.
+    @pytest.mark.parametrize("lambda0, b, tau, h", [
+        (-0.8, -0.8, -0.6, 0.002), (0.5, 3.0, -0.05, 0.01), (-0.15, -6.0, -0.257, 0.001)])
+    def test_kappa_zero_runs_are_scalar_grid_runs(self, lambda0, b, tau, h):
+        # Without diffusion and with a history constant in x, every node
+        # follows the scalar model with a = lambda0, and odd Nx puts L/2 on
+        # a node.  Both field runs read the delay after the shift, so both
+        # equal the scalar ie run; the scalar lt run reads it before the
+        # shift, which a loop of lt_pde_step reproduces.  Nx 1 is not used:
+        # LAPACK's n = 1 substitution multiplies by 1/d, where Nx 5 divides.
+        def g(t):
+            return 0.3 + 0.2 * math.cos(2.0 * math.pi * t)
+
+        prob = PdeProblem(kappa=0.0, lambda0=lambda0, b=b, tau=tau, Nx=5,
+                          history=lambda t, x: np.full_like(x, g(t)))
+        scalar = ScalarDelayProblem(a=lambda0, b=b, tau=tau, history=g)
+        T = 1000 * h
+
+        def scalar_values(scheme):
+            return run(scalar, SchemeConfig(h=h, T=T, scheme=scheme)).values
+
+        ie_values = scalar_values("ie")
+        for scheme in ("ie", "lt"):
+            res = run_pde(prob, SchemeConfig(h=h, T=T, scheme=scheme))
+            assert np.array_equal(res.center, ie_values), scheme
+        xg = prob.xgrid
+        buffer = init_from_history(lambda t: prob.history(t, xg), DelayGrid(h, tau))
+        cache = assemble_system(prob, h, 0.0, include_reaction=False).factorize()
+        u = prob.history(0.0, xg)
+        center = [u[2]]
+        for n in range(1000):
+            delayed = buffer[0]
+            buffer.push(u)
+            u = lt_pde_step(u, delayed, n * h, prob, h, cache)
+            center.append(u[2])
+        assert np.array_equal(center, scalar_values("lt"))
 
     def test_schemes_agree_closely_on_a_coarse_benchmark(self):
         prob = PdeProblem(Nx=20, history=oscillating_history, **BENCH_KW)
@@ -771,10 +816,11 @@ def _reference_trace(problem, h, T, scheme):
         cache = assemble_system(problem, h, 0.0,
                                 include_reaction=scheme == "ie").factorize()
     for n in range(round(T / h)):
+        buffer.push(u)
         if scheme == "ie":
-            u = ie_pde_step(u, buffer, (n + 1) * h, problem, h, cache)
+            u = ie_pde_step(u, buffer[0], (n + 1) * h, problem, h, cache)
         else:
-            u = lt_pde_step(u, buffer, n * h, problem, h, cache)
+            u = lt_pde_step(u, buffer[0], n * h, problem, h, cache)
         assert np.isfinite(u).all()
         center.append(center_of(u))
         l2.append(sqrt_dx * float(np.linalg.norm(u)))
@@ -797,6 +843,45 @@ class TestTraceRecording:
         assert np.array_equal(res.center, center)
         assert np.array_equal(res.l2, l2)
         assert np.array_equal(res.final, final)
+
+
+def _step_call(name, nx):
+    """A step map and its arguments; the first two are its state inputs."""
+    rng = np.random.default_rng(nx)
+    if name in ("ie_step_kernel", "lt_step_kernel"):
+        grid = DelayGrid(0.01, -0.05)
+        step = ie_step_kernel if name == "ie_step_kernel" else lt_step_kernel
+        return step, (0.7, rng.standard_normal(grid.m + 1), -0.8, -0.8, grid)
+    if name == "ie_step":
+        return ie_step, (0.7, -0.2, -0.8, -0.8, 0.01)
+    # h lambda0 = 1.2 makes the ie system negative definite: pivoted LU,
+    # padded below n = 3.
+    h = 0.002
+    h_lambda0 = 1.2 if name.endswith("-lu") else -0.0016
+    prob = PdeProblem(kappa=0.02, lambda0=h_lambda0 / h, b=-0.8, tau=-0.6, Nx=nx,
+                      history=zero_history)
+    u_n, u_delay = rng.standard_normal((2, nx))
+    if name == "lt":
+        cache = assemble_system(prob, h, 0.0, include_reaction=False).factorize()
+        return lt_pde_step, (u_n, u_delay, 0.0, prob, h, cache)
+    cache = None
+    if name.startswith("ie-cached"):
+        cache = assemble_system(prob, h, h, include_reaction=True).factorize()
+    return ie_pde_step, (u_n, u_delay, h, prob, h, cache)
+
+
+# The run loops push each returned state into their history, so a step that
+# wrote into its inputs would silently change a stored history entry.
+@pytest.mark.parametrize("name, nx", [
+    *[(name, nx) for name in ("ie-cached", "ie-dense", "lt") for nx in (1, 2, 5)],
+    ("ie-cached-lu", 2), ("ie-dense-lu", 2),
+    ("ie_step", 1), ("ie_step_kernel", 1), ("lt_step_kernel", 1)])
+def test_step_maps_do_not_write_into_their_inputs(name, nx):
+    step, args = _step_call(name, nx)
+    before = [np.array(x, copy=True) for x in args[:2]]
+    step(*args)
+    for old, new in zip(before, args[:2]):
+        assert np.asarray(new).tobytes() == old.tobytes()
 
 
 class TestOscillatingHistory:

@@ -648,16 +648,20 @@ class TestFirstRowSequence:
     @example((np.full(3, 0.1), np.array([0.0, 0.2, 0.7, 0.0]), 2))
     @example((np.full(2, 2.0 ** 52), np.array([1.0, 1.0]), 1))
     @example((np.full(3, 1.0 / 3.0), np.ones(4), 2))
+    # alpha = 0 windows: adjacent nonzero pairs.  With zero heads every tied
+    # row holds two nonzeros and takes the two-entry shortcut; with nonzero
+    # heads it holds three and is summed densely; the last mixes both.
+    @example((np.zeros(4), np.array([0.1, 0.7, 0.0, 0.1, 0.7, 0.0]), 3))
+    @example((np.full(4, 0.2), np.array([0.1, 0.7, 0.0, 0.1, 0.7, 0.0]), 3))
+    @example((np.zeros(5), np.array([0.2, 0.6, 0.0, 0.0, 0.1, 0.5, 0.2, 0.0]), 4))
     def test_equals_the_dense_row_sums_on_tied_rows(self, case):
         heads, window, m = case
         assert stability._max_row_norm(heads, window, m) == max(
             _dense_row_sums(heads, window, m))
 
-    # Tied rows on the exact shift are integers, so the dense fallback sums
-    # only the checkpoints with a single near row: 2 rows in all, where
-    # summing every near row took 5293176.
-    def test_exact_shift_sums_two_rows_densely(self):
-        m = 1028
+    @staticmethod
+    def _rows_summed_densely(op):
+        """Rows the dense fallback sums over the checkpoints 1 ... 3m + 2."""
         summed = []
         row_sums = stability._row_sums
 
@@ -666,8 +670,20 @@ class TestFirstRowSequence:
             return row_sums(abs_heads, abs_window, m, index)
 
         with mock.patch.object(stability, "_row_sums", counting):
-            companion_profiles(CompanionOperator(m, 1.0, 0.0), range(1, 3 * m + 3))
-        assert sum(summed) == 2
+            companion_profiles(op, range(1, 3 * op.m + 3))
+        return sum(summed)
+
+    # Tied rows on the exact shift are integers, so the dense fallback sums
+    # only the checkpoints with a single near row: 2 rows in all, where
+    # summing every near row took 5293176.
+    def test_exact_shift_sums_two_rows_densely(self):
+        assert self._rows_summed_densely(CompanionOperator(1028, 1.0, 0.0)) == 2
+
+    # alpha = 0 puts adjacent nonzero pairs in the Ritt windows, so most near
+    # rows hold two nonzeros and take the two-entry shortcut: 4006 rows,
+    # where the one-entry shortcut left 1003006.
+    def test_zero_alpha_pairs_sum_few_rows_densely(self):
+        assert self._rows_summed_densely(CompanionOperator(1000, 0.0, 0.9)) == 4006
 
     # (m, alpha, beta, n): the step the O(m) row update reports overflow at.
     @pytest.mark.parametrize("m,alpha,beta,n", [
