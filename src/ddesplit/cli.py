@@ -343,13 +343,13 @@ def _cmd_convergence(ns: argparse.Namespace) -> str:
 
 
 def _cmd_growth_fit(ns: argparse.Namespace) -> str:
+    if ns.char_root and ns.a_mode != "constant":
+        raise ParameterError("characteristic-root cross-check needs a "
+                             "constant reaction coefficient")
     config = SchemeConfig(h=ns.h, T=ns.T, scheme=ns.scheme, delay_mode="grid")
     result = run(_scalar_problem(ns), config)
     report = exp_growth_fit(result, ns.t_start).to_json()
     if ns.char_root:
-        if ns.a_mode != "constant":
-            raise ParameterError("characteristic-root cross-check needs a "
-                                 "constant reaction coefficient")
         report["omega_ref"] = char_root_rightmost(ns.a, ns.b, ns.tau).real
     return _json(report)
 

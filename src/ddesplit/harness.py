@@ -16,7 +16,7 @@ from typing import Dict, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import FitError, ParameterError, require_finite
-from .history import SNAP_RTOL
+from .history import snap_ratio
 from .pde import PdeProblem, run_pde
 from .scalar import RunResult, ScalarDelayProblem, SchemeConfig, run
 
@@ -109,19 +109,18 @@ def convergence_study(problem: ScalarDelayProblem,
     if np.any(np.diff(hs) >= 0):
         raise ParameterError("step sizes must be strictly decreasing")
     h0 = hs[0]
+    # Every step and configuration is checked before the first run.
+    strides = [snap_ratio(h0 / h) for h in hs]
+    if None in strides:
+        raise ParameterError(f"h={hs[strides.index(None)]} does not subdivide "
+                             f"the coarsest h={h0}")
+    configs = [[SchemeConfig(h=float(h), T=T, scheme=scheme, delay_mode=mode)
+                for scheme, mode in variants] for h in hs]
+    idx0 = np.arange(configs[0][0].n_steps + 1)
     errors = np.empty(hs.size)
-    for i, h in enumerate(hs):
-        stride_f = h0 / h
-        stride = int(round(stride_f))
-        if abs(stride_f - stride) > SNAP_RTOL * stride_f:
-            raise ParameterError(f"h={h} does not subdivide the coarsest h={h0}")
-        runs = []
-        for scheme, mode in variants:
-            cfg = SchemeConfig(h=float(h), T=T, scheme=scheme, delay_mode=mode)
-            runs.append(run(problem, cfg))
-        n_coarse = int(round(T / h0))
-        idx = stride * np.arange(n_coarse + 1)
-        errors[i] = float(np.max(np.abs(runs[0].values[idx] - runs[1].values[idx])))
+    for i, (stride, pair) in enumerate(zip(strides, configs)):
+        first, second = (run(problem, cfg).values[stride * idx0] for cfg in pair)
+        errors[i] = float(np.max(np.abs(first - second)))
     if np.any(errors <= 0.0):
         return ConvergenceReport(h_values=hs, errors=errors,
                                  slope=math.nan, intercept=math.nan,

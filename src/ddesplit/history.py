@@ -17,18 +17,26 @@ from __future__ import annotations
 
 import collections
 import functools
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import InsufficientHistoryError, ParameterError, require_finite
 
-# Relative tolerance for snapping -tau/h to an integer lag.  Values such as
-# 0.257/0.001 land at 256.99999999999997 in floating point.
+# Relative tolerance for snapping a step ratio to an integer.  Values such
+# as 0.257/0.001 land at 256.99999999999997 in floating point.
 SNAP_RTOL = 1e-9
 
 # e^{-1}: the transport kernel's decay across one cell.
 _E1 = float(np.exp(-1.0))
+
+
+def snap_ratio(x: float) -> Optional[int]:
+    """``round(x)`` if x lies within ``SNAP_RTOL * max(1, x)`` of it, else None:
+    the one snap rule for delay depths -tau/h, step counts T/h and the
+    strides of an order study."""
+    nearest = round(x)
+    return nearest if abs(x - nearest) <= SNAP_RTOL * max(1.0, x) else None
 
 
 class DelayGrid:
@@ -57,15 +65,12 @@ class DelayGrid:
         if tau >= 0:
             raise ParameterError(f"delay must be negative, got {tau}")
         ratio = -tau / h
-        nearest = round(ratio)
-        if nearest >= 1 and abs(ratio - nearest) <= SNAP_RTOL * max(1.0, ratio):
-            m, delta = int(nearest), 0.0
-        else:
+        m, delta = snap_ratio(ratio), 0.0
+        if m is None:
             m, delta = int(np.floor(ratio)), -tau - np.floor(ratio) * h
         if m < 1:
-            raise ParameterError(
-                f"delay depth m = {m} < 1: |tau| = {-tau} smaller than h = {h}"
-            )
+            raise ParameterError(f"delay depth m = {m} < 1: "
+                                 f"|tau| = {-tau} smaller than h = {h}")
         self.h = float(h)
         self.tau = float(tau)
         self.m = m

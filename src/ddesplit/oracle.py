@@ -95,7 +95,8 @@ def oo_solution(t, p: OhiraParams):
     Evenness of the integrand folds the full-line Fourier integral onto
     [0, omega_max]; composite Simpson on the fixed node grid makes the
     value deterministic for a given parameter set.  Accepts scalar or
-    array ``t``.
+    array ``t``.  The node spacing d_omega resolves cos(omega t) only while
+    |t| d_omega <= pi/2; beyond that the quadrature aliases, so it raises.
     """
     # Imported here: scipy.integrate costs about 0.8 s to load, and only
     # this quadrature uses it.
@@ -103,6 +104,10 @@ def oo_solution(t, p: OhiraParams):
 
     grid = np.linspace(0.0, p.omega_max, p.n_nodes)
     tarr = np.atleast_1d(np.asarray(t, dtype=float))
+    t_max, t_limit = np.abs(tarr).max(initial=0.0), 0.5 * math.pi / (grid[1] - grid[0])
+    if t_max > t_limit:
+        raise ParameterError(f"|t| = {t_max:.6g} exceeds pi/(2 d_omega) = {t_limit:.6g}, "
+                             "beyond which the quadrature aliases; raise n_nodes")
     vals = oo_integrand(grid[None, :], tarr[:, None], p)
     out = simpson(vals, x=grid, axis=-1) / math.pi
     if np.ndim(t) == 0:

@@ -11,11 +11,8 @@ the time level ``SchemeConfig.level`` of its reaction coefficient.
   step handed the factored system substitutes against it; a step handed
   none assembles the system at the new time and solves it as a dense
   symmetric matrix by Bunch-Kaufman pivoting (LAPACK ``dsysv``), which
-  takes definite and indefinite systems alike.  That call runs on one
-  OpenBLAS thread: its many small level-2 calls gain nothing from threads,
-  and with them the step's time depended on the thread regime and on
-  host load.  ``run_pde`` hands over the factors exactly when the reaction
-  coefficient is constant.
+  takes definite and indefinite systems alike.  ``run_pde`` hands over the
+  factors exactly when the reaction coefficient is constant.
 * Lie-Trotter splitting (level 0): cached implicit diffusion solve, then a
   pointwise algebraic reaction/delay update with the coefficient frozen at
   the old time level.  With the post-shift read it splits diffusion from
@@ -55,9 +52,8 @@ from .scalar import EPS_DEN, SchemeConfig
 # 0.1 s, which runs that never solve a field system should not pay.
 lapack = None
 # ``openblas_set_num_threads_local`` of the OpenBLAS bundled with scipy, bound
-# with ``lapack``; None where that library or symbol is absent.  In a pthreads
-# build the count it sets is shared by all threads, so concurrent steps take
-# the lock: otherwise the last to finish could restore another step's 1.
+# with ``lapack``; None where that library or symbol is absent.  The lock and
+# its use are described in ``ie_pde_step``.
 _set_blas_threads = None
 _blas_threads_lock = threading.Lock()
 
@@ -239,14 +235,14 @@ def ie_pde_step(u_n: np.ndarray, u_delay: np.ndarray, t_new: float,
     below the sub-diagonal.  An exactly singular system raises
     ``SingularSystemError``.
 
-    The ``dsysv`` call runs with the calling thread's OpenBLAS count set to
-    1 by ``openblas_set_num_threads_local``, and the previous count is put
-    back afterwards, also when the call raises.  In a pthreads build of
+    The ``dsysv`` call runs on one OpenBLAS thread: its many small level-2
+    calls gain nothing from threads, and with them the step's time depended
+    on the thread regime and on host load, not its bits.  The calling
+    thread's count is set to 1 by ``openblas_set_num_threads_local`` and
+    put back afterwards, also when the call raises.  In a pthreads build of
     OpenBLAS that count is shared by all threads, so these calls take one
-    lock, and other threads' BLAS calls also run on one thread while it is
-    held.  At Nx 300 the whole step then takes a steady ~106 µs, where the
-    default threads gave ~145 µs or ~390 µs by thread regime, and far
-    more while other processes kept the cores busy; the bits are the same.
+    lock (else the last to finish could restore another step's 1), and
+    other threads' BLAS calls also run on one thread while it is held.
     Where scipy's OpenBLAS lacks the symbol, ``dsysv`` runs with the
     default threads.
     """
@@ -303,9 +299,9 @@ class PdeRunResult:
 def run_pde(problem: PdeProblem, config: SchemeConfig) -> PdeRunResult:
     """Advance the field to T, recording center and L2 traces and the field at T.
 
-    The center value u(t, L/2) is linearly interpolated between the two
-    bracketing grid points (with an even interior count the midpoint falls
-    between nodes); the L2 trace is the discrete norm sqrt(dx * sum u^2).
+    The center value u(t, L/2) is the middle node for odd Nx and the mean
+    of the two middle nodes for even Nx; the L2 trace is the discrete norm
+    sqrt(dx * sum u^2).
     """
     if config.delay_mode != "grid":
         raise ParameterError("field runs support the grid delay mode only")
@@ -327,16 +323,14 @@ def run_pde(problem: PdeProblem, config: SchemeConfig) -> PdeRunResult:
     buffer = init_from_history(field_at, grid)
     u = field_at(0.0)
 
-    # Center interpolation weights are fixed by the grid layout.  The trace
-    # is kept in Python floats: the same IEEE operations as on numpy scalars.
-    pos = problem.L / 2.0 / problem.dx - 1.0
-    i_left = min(int(np.floor(pos)), problem.Nx - 2) if problem.Nx > 1 else 0
-    frac = pos - i_left if problem.Nx > 1 else 0.0
+    # Node i sits at (i + 1) dx, so L/2 is node (Nx - 1)/2.  The trace is
+    # kept in Python floats: the same IEEE operations as on numpy scalars.
+    mid, between = divmod(problem.Nx - 1, 2)
 
     def center_of(vec: np.ndarray) -> float:
-        if problem.Nx == 1:
-            return vec.item(0)
-        return (1.0 - frac) * vec.item(i_left) + frac * vec.item(i_left + 1)
+        if between:
+            return 0.5 * vec.item(mid) + 0.5 * vec.item(mid + 1)
+        return vec.item(mid)
 
     # np.linalg.norm of a real vector is sqrt(u.dot(u)); one dot product per
     # step gives the L2 value and, when finite, proves every entry finite.

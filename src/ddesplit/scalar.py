@@ -34,13 +34,13 @@ from .errors import (
     require_finite,
 )
 from .history import (
-    SNAP_RTOL,
     DelayGrid,
     RingBuffer,
     delay_kernel_integral,
     delayed_value,
     init_from_history,
     segment_from_history,
+    snap_ratio,
     transport_resolvent_apply,
 )
 
@@ -79,21 +79,21 @@ class SchemeConfig:
 
     def __post_init__(self):
         require_finite(h=self.h, T=self.T)
-        if self.h <= 0 or self.T <= 0 or self.h > self.T:
-            raise ParameterError(f"need 0 < h <= T, got h={self.h}, T={self.T}")
+        if self.h <= 0 or self.T <= 0:
+            raise ParameterError(f"need h > 0 and T > 0, got h={self.h}, T={self.T}")
         if self.scheme not in ("ie", "lt"):
             raise ParameterError(f"unknown scheme {self.scheme!r}")
         if self.delay_mode not in ("grid", "kernel"):
             raise ParameterError(f"unknown delay_mode {self.delay_mode!r}")
-        # A step that does not divide the horizon would end the run short of T.
+        # A run must take a whole number n >= 1 of steps to reach T.
         ratio = self.T / self.h
-        if abs(ratio - round(ratio)) > SNAP_RTOL * ratio:
+        if not snap_ratio(ratio):
             raise ParameterError(
                 f"h = {self.h} does not divide T = {self.T} (T/h = {ratio!r})")
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.T / self.h))
+        return snap_ratio(self.T / self.h)
 
     @property
     def level(self) -> int:

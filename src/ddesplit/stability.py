@@ -189,15 +189,14 @@ def spectral_radius(op: CompanionOperator) -> float:
     p/p' = (z(z - alpha) - beta z^{1-m}) / ((m+1) z - m alpha) takes
     beta z^{1-m} from logarithms, so no power of z over- or underflows.
 
-    The roots start at their asymptotic positions on the trinomial.  When
-    |alpha|^{m+1} > |beta| the m small roots start at the m-th roots of
-    -beta/alpha and take _REFINE_STEPS fixed-point steps of
-    z^m = (-beta/alpha) / (1 - z/alpha), whose logarithm stays off its
-    branch cut since |z/alpha| < 1; the large root starts at
-    alpha e^{i pi/m}, half a spacing off the axis.  Otherwise all m + 1
-    start at the (m+1)-th roots of beta and take the steps of
-    z^{m+1} = beta / (1 - alpha/z).  A start whose refinement is not finite
-    stays unrefined.
+    The roots start at their asymptotic positions on the trinomial: the k-th
+    roots of c, refined by _REFINE_STEPS fixed-point steps of one map,
+    z^k = c / (1 - q(z)).  When |alpha|^{m+1} > |beta| these are the m small
+    roots, k = m, c = -beta/alpha and q = z/alpha, whose logarithm stays off
+    its branch cut since |z/alpha| < 1; the large root starts at
+    alpha e^{i pi/m}, half a spacing off the axis.  Otherwise they are all
+    m + 1, with c = beta and q = alpha/z.  A start whose refinement is not
+    finite stays unrefined.
 
     Each sweep treats only the roots still moving: it tests their residuals
     against a bound on the rounding error, applies the correction to all of
@@ -215,26 +214,23 @@ def spectral_radius(op: CompanionOperator) -> float:
     log_beta = cmath.log(beta)
     # A non-finite iterate fails the residual test and ends in the error below.
     with np.errstate(all="ignore"):
-        if alpha != 0.0 and n * math.log(abs(alpha)) > log_abs_beta:
-            log_ratio = complex(log_abs_beta - math.log(abs(alpha)),
-                                0.0 if (alpha > 0.0) != (beta > 0.0) else math.pi)
-            if math.exp(log_ratio.real / m) < _TINY:
+        log_c, k = log_beta, n
+        small = alpha != 0.0 and n * math.log(abs(alpha)) > log_abs_beta
+        if small:
+            log_c, k = complex(log_abs_beta - math.log(abs(alpha)),
+                               0.0 if (alpha > 0.0) != (beta > 0.0) else math.pi), m
+            if math.exp(log_c.real / m) < _TINY:
                 # The m small roots underflow; the largest is alpha to rounding.
                 return abs(alpha)
-            turns = 2j * np.pi * np.arange(m)
-            z0 = np.exp((log_ratio + turns) / m)
-            z = z0
-            for _ in range(_REFINE_STEPS):
-                z = np.exp((log_ratio - np.log(1.0 - z / alpha) + turns) / m)
-            z = np.append(np.where(np.isfinite(z), z, z0),
-                          alpha * cmath.exp(1j * math.pi / m))
-        else:
-            turns = 2j * np.pi * np.arange(n)
-            z0 = np.exp((log_beta + turns) / n)
-            z = z0
-            for _ in range(_REFINE_STEPS):
-                z = np.exp((log_beta - np.log(1.0 - alpha / z) + turns) / n)
-            z = np.where(np.isfinite(z), z, z0)
+        turns = 2j * np.pi * np.arange(k)
+        z0 = np.exp((log_c + turns) / k)
+        z = z0
+        for _ in range(_REFINE_STEPS):
+            z = np.exp((log_c - np.log(1.0 - (z / alpha if small else alpha / z))
+                        + turns) / k)
+        z = np.where(np.isfinite(z), z, z0)
+        if small:
+            z = np.append(z, alpha * cmath.exp(1j * math.pi / m))
         moving = np.arange(n)
         diff = np.empty((min(_ROW_BLOCK, n), n), dtype=complex)
         for _ in range(_MAX_SWEEPS):

@@ -21,7 +21,7 @@ from ddesplit.harness import (
     convergence_study,
     exp_growth_fit,
 )
-from ddesplit.history import transport_resolvent_apply
+from ddesplit.history import DelayGrid, init_from_history, transport_resolvent_apply
 from ddesplit.oracle import OhiraParams, oo_residual, oo_solution, poly_history
 from ddesplit.pde import PdeProblem, oscillating_history
 from ddesplit.scalar import ScalarDelayProblem, SchemeConfig, run
@@ -78,6 +78,15 @@ COMPUTED_RHO = 0.9999108137770498
 TARGET_SUMMABILITY_WINDOW = (0.9e4, 1.3e4)
 COMPUTED_PARTIAL_SUM_NORM = 413.357729472
 TARGET_OMEGA_WINDOW = (0.022, 0.042)
+
+# Rough history data: W_theta(t) = sum_{k=0}^{25} 2^{-k theta} cos(2^k pi t)
+# is Hoelder-theta.  a = -1, b = -0.8, tau = -1, T = 4, h = 0.01 / 2^k.
+ROUGH_THETAS = (0.25, 0.5, 0.75, 1.0)
+ROUGH_STEPS = [0.01 / 2 ** k for k in range(6)]
+COMPUTED_ROUGH_DEFECT_SLOPES = (1.2535028815443034, 1.4889088005711386,
+                                1.7049064922727164, 1.8583962137645116)
+COMPUTED_ROUGH_GAP_SLOPES = (0.9987991043514675, 0.9985738549349102,
+                             0.9987419421838151, 0.9988620684118104)
 
 
 def _tol(v: float) -> float:
@@ -352,3 +361,42 @@ def test_c10_oracle_self_consistency():
     assert gauss_gap <= 1e-10
     print(f"c10: max residual = {max(residuals):.3e},"
           f" uncoupled Gaussian gap = {gauss_gap:.3e}")
+
+
+def _weierstrass_history(theta: float):
+    def history(t: float) -> float:
+        return sum(2.0 ** (-k * theta) * math.cos(2.0 ** k * math.pi * t)
+                   for k in range(26))
+    return history
+
+
+def _rough_defect(problem: ScalarDelayProblem, h: float) -> float:
+    """D(h) = |beta| max_{0 <= k < N} |u_{k+1-m} - u_{k-m}| over the lt run:
+    the nonzero row of E = R - P applied to each state x_k, with the
+    history samples as the u of negative index."""
+    beta = companion_operator(problem, h).beta
+    past = list(init_from_history(problem.history, DelayGrid(h, problem.tau)))
+    u = run(problem, SchemeConfig(h=h, T=4.0, scheme="lt")).values
+    delayed = np.concatenate((past, u[:-len(past)]))  # u_{-m} .. u_{N-m}
+    return abs(beta) * float(np.abs(np.diff(delayed)).max())
+
+
+def test_c11_rough_history_degrades_the_defect_not_the_order():
+    defect_slopes, gap_slopes = [], []
+    for theta in ROUGH_THETAS:
+        problem = ScalarDelayProblem(a=-1.0, b=-0.8, tau=-1.0,
+                                     history=_weierstrass_history(theta))
+        defects = [_rough_defect(problem, h) for h in ROUGH_STEPS]
+        defect_slopes.append(float(np.polyfit(np.log(ROUGH_STEPS), np.log(defects), 1)[0]))
+        gap_slopes.append(convergence_study(problem, ("ie", "lt"), ROUGH_STEPS, 4.0).slope)
+    print("c11: theta, defect slope, ie-lt gap slope")
+    for row in zip(ROUGH_THETAS, defect_slopes, gap_slopes):
+        print("  %.2f  %r  %r" % row)
+    assert defect_slopes == pytest.approx(COMPUTED_ROUGH_DEFECT_SLOPES, rel=1e-9)
+    assert gap_slopes == pytest.approx(COMPUTED_ROUGH_GAP_SLOPES, rel=1e-9)
+    # The defect degrades with the data, like h^{1 + theta}, while the
+    # global gap stays first order.
+    assert all(lo < hi for lo, hi in zip(defect_slopes, defect_slopes[1:]))
+    for theta, defect_slope, gap_slope in zip(ROUGH_THETAS, defect_slopes, gap_slopes):
+        assert abs(defect_slope - (1.0 + theta)) <= 0.15
+        assert abs(gap_slope - 1.0) <= 0.01

@@ -322,6 +322,14 @@ class TestOracleOutput:
                                                            abs=1e-9)
 
 
+    def test_times_past_the_aliasing_limit_are_an_error(self, capsys):
+        rc = main(["oracle", "--t0", "1600", "--t1", "1600", "--num", "1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "pi/(2 d_omega) = 785.398" in captured.err
+
+
 class TestConvergenceOutput:
     def test_degenerate_study_serializes_null_slope(self, capsys):
         rc = main(["convergence", "--b", "0", "--tau", "-0.5",
@@ -400,6 +408,22 @@ class TestGrowthFitOutput:
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err.startswith("error:")
+
+    CHAR_ROOT_USAGE = ("error: characteristic-root cross-check needs a "
+                       "constant reaction coefficient\n")
+
+    def test_char_root_usage_error_comes_before_a_diverging_run(self, capsys):
+        # a(t) = 0.5 t drives the series to overflow long before T.
+        rc = main(["growth-fit", "--a", "0.5", "--a-mode", "linear", "--char-root"])
+        assert rc == 1
+        assert capsys.readouterr().err == self.CHAR_ROOT_USAGE
+
+    def test_char_root_usage_error_runs_nothing(self, capsys):
+        with mock.patch("ddesplit.cli.run") as spy:
+            rc = main(self.GEOMETRIC + ["--char-root", "--a-mode", "linear"])
+        assert rc == 1
+        assert capsys.readouterr().err == self.CHAR_ROOT_USAGE
+        spy.assert_not_called()
 
 
 class TestTimingOutput:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import lambertw
 
+import ddesplit.harness as harness
 from ddesplit.errors import FitError, ParameterError
 from ddesplit.harness import (
     ConvergenceReport,
@@ -19,6 +20,7 @@ from ddesplit.harness import (
     convergence_study,
     exp_growth_fit,
 )
+from ddesplit.history import DelayGrid
 from ddesplit.oracle import poly_history
 from ddesplit.pde import PdeProblem
 from ddesplit.scalar import RunResult, ScalarDelayProblem, SchemeConfig, run
@@ -126,6 +128,81 @@ class TestConvergenceStudy:
         with pytest.raises(ParameterError, match=(
                 f"the two variants are the same: '{pair[0]}' and '{pair[1]}'")):
             convergence_study(prob, pair, [0.1, 0.05, 0.025], T=1.0)
+
+
+class _Ran(Exception):
+    """Raised by a spied ``run``: the study got past its checks."""
+
+
+def _spy_on_run(monkeypatch) -> list:
+    """Replace the harness's ``run`` by a spy that logs its config and raises ``_Ran``."""
+    calls = []
+
+    def spy(problem, config):
+        calls.append(config)
+        raise _Ran
+
+    monkeypatch.setattr(harness, "run", spy)
+    return calls
+
+
+class TestOneSnapRule:
+    """Delay depths, step counts and order-study strides snap by one rule."""
+
+    PROBLEM = ScalarDelayProblem(a=-1.0, b=-0.5, tau=-0.5, history=lambda t: 1.0)
+
+    @staticmethod
+    def _delay_grid_snaps(k, ratio):
+        try:
+            grid = DelayGrid(h=0.01, tau=-0.01 * ratio)
+        except ParameterError:
+            return False
+        return grid.is_integer_lag and grid.m == k
+
+    @staticmethod
+    def _config_accepts(k, ratio):
+        try:
+            return SchemeConfig(h=0.01, T=0.01 * ratio).n_steps == k
+        except ParameterError:
+            return False
+
+    def _study_accepts(self, monkeypatch, ratio):
+        calls = _spy_on_run(monkeypatch)
+        try:
+            convergence_study(self.PROBLEM, ("ie", "lt"), [0.01, 0.005, 0.0025],
+                              T=0.01 * ratio)
+        except _Ran:
+            return True
+        except ParameterError:
+            assert calls == []
+            return False
+        raise AssertionError("the spied run was never reached")
+
+    @pytest.mark.parametrize("k", [1, 3, 257, 4000])
+    @pytest.mark.parametrize("rel, snaps", [(0.5e-9, True), (-0.5e-9, True),
+                                            (2e-9, False), (-2e-9, False)])
+    def test_all_three_agree(self, monkeypatch, k, rel, snaps):
+        ratio = k * (1.0 + rel)
+        assert self._delay_grid_snaps(k, ratio) is snaps
+        assert self._config_accepts(k, ratio) is snaps
+        assert self._study_accepts(monkeypatch, ratio) is snaps
+
+    def test_study_rejects_a_last_step_that_does_not_subdivide_the_first(self, monkeypatch):
+        calls = _spy_on_run(monkeypatch)
+        with pytest.raises(ParameterError, match="does not subdivide"):
+            convergence_study(self.PROBLEM, ("ie", "lt"), [0.1, 0.05, 0.03], T=1.5)
+        assert calls == []
+
+    def test_study_rejects_a_last_step_that_does_not_divide_the_horizon(self, monkeypatch):
+        # T/h0 and h0/h each sit 0.9e-9 off an integer, so each snaps, but
+        # T/h sits 1.8e-9 off: only the finest configuration is rejected.
+        calls = _spy_on_run(monkeypatch)
+        h0 = 0.01
+        with pytest.raises(ParameterError, match="does not divide"):
+            convergence_study(self.PROBLEM, ("ie", "lt"),
+                              [h0, h0 / 2, h0 / (4 * (1 + 0.9e-9))],
+                              T=3 * h0 * (1 + 0.9e-9))
+        assert calls == []
 
 
 class TestGrowthFit:

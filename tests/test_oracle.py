@@ -119,6 +119,23 @@ class TestSolution:
     def test_scalar_argument_gives_a_plain_float(self):
         assert isinstance(oo_solution(1.0, BENCH), float)
 
+    @pytest.mark.parametrize("t", [1600.0, -1600.0, np.array([0.0, 1600.0])],
+                             ids=["1600", "-1600", "array"])
+    def test_times_past_the_aliasing_limit_rejected(self, t):
+        # The default node spacing 0.002 resolves cos(omega t) up to
+        # |t| = pi/2 / 0.002; at t = 1600 the quadrature gave -0.605.
+        with pytest.raises(ParameterError, match=r"pi/\(2 d_omega\) = 785\.398"):
+            oo_solution(t, BENCH)
+
+    def test_residual_inherits_the_aliasing_limit(self):
+        with pytest.raises(ParameterError, match="aliases"):
+            oo_residual(1600.0, BENCH)
+
+    @pytest.mark.parametrize("t", [785.0, -785.0])
+    def test_times_inside_the_aliasing_limit_match_a_fine_grid(self, t):
+        fine = OhiraParams(a=-0.15, b=-6.0, tau=-8.0, n_nodes=400001)
+        assert abs(oo_solution(t, BENCH) - oo_solution(t, fine)) <= 1e-13
+
 
 class TestResidual:
     def test_benchmark_residual_is_small(self):
