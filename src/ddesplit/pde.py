@@ -358,7 +358,8 @@ def run_pde(problem: PdeProblem, config: SchemeConfig) -> PdeRunResult:
         center[n] = center_of(u)
         l2[n] = sqrt_dx * math.sqrt(sq)
     wall = time.perf_counter() - start
-    times = h * np.arange(n_steps + 1)
+    times = np.arange(n_steps + 1, dtype=float)
+    times *= h
     return PdeRunResult(times=times, center=center, l2=l2,
                         scheme=config.scheme, final=u, wall_clock=wall)
 

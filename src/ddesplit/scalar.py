@@ -266,6 +266,7 @@ def run(problem: ScalarDelayProblem, config: SchemeConfig) -> RunResult:
     else:
         values = _run_kernel(problem, config)
     wall = time.perf_counter() - start
-    times = config.h * np.arange(config.n_steps + 1)
+    times = np.arange(config.n_steps + 1, dtype=float)
+    times *= config.h
     tag = f"{config.scheme}-{config.delay_mode}"
     return RunResult(times=times, values=values, scheme=tag, wall_clock=wall)

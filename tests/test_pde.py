@@ -551,6 +551,7 @@ class TestRunPde:
         res = run_pde(prob, SchemeConfig(h=0.1, T=2.0, scheme=scheme))
         assert np.all(res.center == 0.0)
         assert np.all(res.l2 == 0.0)
+        assert res.times.tobytes() == (0.1 * np.arange(21)).tobytes()
 
     @pytest.mark.parametrize("nx", [1, 3, 4])
     def test_center_trace_starts_at_the_midpoint_value(self, nx):

@@ -286,7 +286,7 @@ class TestRunGrid:
         expected = (1.0 / 1.1) ** np.arange(21)
         assert res.values == pytest.approx(expected, rel=1e-12)
         assert res.values[10] == pytest.approx(0.385543, abs=5e-7)
-        assert res.times == pytest.approx(0.1 * np.arange(21))
+        assert res.times.tobytes() == (0.1 * np.arange(21)).tobytes()
 
     def test_schemes_coincide_bit_for_bit_without_delay(self):
         # Both reduce to u_{n+1} = u_n/(1 - h a) when b = 0, a constant.
