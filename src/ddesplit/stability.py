@@ -68,6 +68,9 @@ class CompanionOperator:
 class DiscretePropagators:
     """Matrix realizations of one implicit Euler / splitting step.
 
+    The smallness factor h D Sigma and the defect R - P have one nonzero
+    row each; ``estimate_os_norm`` and ``defect_norm`` give their norms.
+
     Attributes
     ----------
     coeffs : CompanionOperator
@@ -76,15 +79,11 @@ class DiscretePropagators:
         Exact shift with inflow: (x_0, x_0, x_1, ..., x_{m-1}).
     D : ndarray
         Coupling row map (a x_0 + b x_m, 0, ..., 0).
-    H : ndarray
-        h * D * Sigma, the operational-smallness factor (single nonzero row).
     P : ndarray
         Splitting step: top row alpha at column 0, beta at column m.
     R : ndarray
         Implicit Euler step: top row alpha at column 0, beta at column m-1;
         equals (I - h D)^{-1} Sigma exactly.
-    E : ndarray
-        Defect R - P (single nonzero row with entries +-beta).
     """
 
     m: int
@@ -92,10 +91,8 @@ class DiscretePropagators:
     coeffs: CompanionOperator
     Sigma: np.ndarray
     D: np.ndarray
-    H: np.ndarray
     P: np.ndarray
     R: np.ndarray
-    E: np.ndarray
 
 
 def companion_operator(problem: ScalarDelayProblem, h: float) -> CompanionOperator:
@@ -115,48 +112,32 @@ def companion_operator(problem: ScalarDelayProblem, h: float) -> CompanionOperat
 
 def build_discrete_propagators(problem: ScalarDelayProblem,
                                h: float) -> DiscretePropagators:
-    """Assemble Sigma, D, H and the one-step matrices P, R, E.
+    """Assemble Sigma, D and the one-step matrices P and R.
 
-    Requires constant coefficients and an integer lag.  H and E have one
-    nonzero row each and are formed from it, so the build runs no dense
-    product and writes the pages of Sigma, P and R only.
+    Requires constant coefficients and an integer lag.
     """
     op = companion_operator(problem, h)
     m = op.m
     d = m + 1
-    a, b = problem.a, problem.b
 
     # Sigma is the companion matrix with alpha = 1, beta = 0.
     Sigma = CompanionOperator(m, 1.0, 0.0).dense()
     D = np.zeros((d, d))
-    D[0, 0] = a
-    D[0, m] = b
+    D[0, 0] = problem.a
+    D[0, m] = problem.b
     P = op.dense()
+    # R is P with beta read one level later.  ``+=``: for m = 1 column
+    # m - 1 is the diagonal, which keeps its own weight.
     R = P.copy()
-    _read_one_level_later(R[0])
-    # D Sigma is D read one level later; + 0.0 copies D's row and turns
-    # -0.0 into 0.0, as the product's sums do.
-    H = np.zeros((d, d))
-    H[0] = h * _read_one_level_later(D[0] + 0.0)
-    E = np.zeros((d, d))
-    E[0] = R[0] - P[0]
-    return DiscretePropagators(m=m, h=h, coeffs=op, Sigma=Sigma, D=D, H=H, P=P, R=R, E=E)
-
-
-def _read_one_level_later(row: np.ndarray) -> np.ndarray:
-    """Move a top row's delayed weight from column m to column m - 1, in place.
-
-    ``+=``: for m = 1 column m - 1 is the diagonal, which keeps its own weight.
-    """
-    row[-2] += row[-1]
-    row[-1] = 0.0
-    return row
+    R[0, m - 1] += R[0, m]
+    R[0, m] = 0.0
+    return DiscretePropagators(m=m, h=h, coeffs=op, Sigma=Sigma, D=D, P=P, R=R)
 
 
 def defect_norm(op: CompanionOperator) -> float:
-    """Infinity norm of the one-step defect E = R - P of the matrix lab.
+    """Infinity norm of the one-step defect R - P of the matrix lab.
 
-    E has one nonzero row, beta at column m - 1 and -beta at column m, so
+    R - P has one nonzero row, beta at column m - 1 and -beta at column m, so
     the norm is 2|beta|.  For m = 1 the beta of R shares column 0 with
     alpha, and the row is ((alpha + beta) - alpha, -beta).
     """

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from ddesplit import stability
 from ddesplit.cli import main
 from ddesplit.harness import (
     char_root_rightmost,
@@ -26,6 +27,7 @@ from ddesplit.oracle import OhiraParams, oo_residual, oo_solution, poly_history
 from ddesplit.pde import PdeProblem, oscillating_history
 from ddesplit.scalar import ScalarDelayProblem, SchemeConfig, run
 from ddesplit.stability import (
+    CompanionOperator,
     build_discrete_propagators,
     companion_operator,
     defect_norm,
@@ -87,6 +89,26 @@ COMPUTED_ROUGH_DEFECT_SLOPES = (1.2535028815443034, 1.4889088005711386,
                                 1.7049064922727164, 1.8583962137645116)
 COMPUTED_ROUGH_GAP_SLOPES = (0.9987991043514675, 0.9985738549349102,
                              0.9987419421838151, 0.9988620684118104)
+# The bounds on the gap at T (c12), per theta.
+COMPUTED_BOUND_GAP_SLOPES = (0.9918363737854333, 0.9925409142264927,
+                             0.992974190973678, 0.9932648624596662)
+COMPUTED_TELESCOPING_SLOPES = (0.3984597037835565, 0.6869503643388039,
+                               0.8971775038842713, 0.9803371347624691)
+COMPUTED_BY_PARTS_SLOPES = (0.9971867213451839, 0.997186721345184,
+                            0.9971867213451837, 0.9971867213451836)
+COMPUTED_BY_PARTS_RATIOS = ((25.844717694848246, 26.368648151819478),
+                            (21.131682027699306, 21.50311287838048),
+                            (18.29524144210069, 18.586604291133924),
+                            (16.44225996918934, 16.685931055453178))
+# The same for a(t) = -0.5 t (c13), theta 0.25, 0.5 and 1.
+COMPUTED_NONAUTO_TELESCOPING_SLOPES = (0.4187495881243676, 0.705791629772899,
+                                       0.9805182067235151)
+COMPUTED_NONAUTO_BY_PARTS_SLOPES = (0.9949071997397898, 0.9945206920885872,
+                                    0.9948989840784228)
+COMPUTED_NONAUTO_BY_PARTS_RATIOS = ((27.313032897803115, 28.243236777528484),
+                                    (23.10153293959022, 23.70375914630008),
+                                    (18.935638227658906, 19.33053342510025))
+COMPUTED_NONAUTO_VARIATION = (1.0234415691946017, 1.0428274460066906)
 
 
 def _tol(v: float) -> float:
@@ -400,3 +422,156 @@ def test_c11_rough_history_degrades_the_defect_not_the_order():
     for theta, defect_slope, gap_slope in zip(ROUGH_THETAS, defect_slopes, gap_slopes):
         assert abs(defect_slope - (1.0 + theta)) <= 0.15
         assert abs(gap_slope - 1.0) <= 0.01
+
+
+def _rough_gap(problem: ScalarDelayProblem, h: float):
+    """The ie - lt gap e_N at T = 4 and its forcing, from one run of each scheme.
+
+    The gap obeys the ie recurrence e_{n+1} = alpha_n e_n + beta_n e_{n+1-m}
+    + f_n with e_n = 0 for n <= 0, where ie freezes a at t_{n+1}
+    (alpha_n = 1/(1 - h a(t_{n+1})), beta_n = h b alpha_n) and lt at t_n
+    (alpha'_n, beta'_n).  The forcing is f_n = delta_n + r_n: the transport
+    part delta_n = beta_n (w_{n+1} - w_n) with w_n = u^lt_{n-m}, the history
+    samples of ``init_from_history`` at negative index, and the level part
+    r_n = (beta_n - beta'_n) w_n + (alpha_n - alpha'_n) u^lt_n, O(h^2) per
+    step and exactly 0 for constant a.  Returns (e_N, alpha, beta, w, delta, r).
+    """
+    grid = DelayGrid(h, problem.tau)
+    past = list(init_from_history(problem.history, grid))
+    u_ie = run(problem, SchemeConfig(h=h, T=4.0, scheme="ie")).values
+    u_lt = run(problem, SchemeConfig(h=h, T=4.0, scheme="lt")).values
+    n = np.arange(u_lt.size - 1)
+    if problem.a_mode == "linear":
+        a_ie, a_lt = problem.a * ((n + 1) * h), problem.a * (n * h)
+    else:
+        a_ie = a_lt = np.full(n.size, problem.a)
+    alpha, alpha_lt = 1.0 / (1.0 - h * a_ie), 1.0 / (1.0 - h * a_lt)
+    beta, beta_lt = h * problem.b * alpha, h * problem.b * alpha_lt
+    w = np.concatenate((past, u_lt[:-len(past)]))  # w_0 .. w_N
+    delta = beta * np.diff(w)
+    r = (beta - beta_lt) * w[:-1] + (alpha - alpha_lt) * u_lt[:-1]
+    return u_ie[-1] - u_lt[-1], alpha, beta, w, delta, r
+
+
+def _slopes(table):
+    """log-log slope against ROUGH_STEPS of each row of ``table``."""
+    return [float(np.polyfit(np.log(ROUGH_STEPS), np.log(row), 1)[0]) for row in table]
+
+
+def test_c12_summation_by_parts_bound_keeps_the_order_the_telescoping_bound_loses():
+    """c11's gap at T, written exactly through the impulse response of ie.
+
+    With constant a, e_N = sum_{k<N} c_{N-1-k} delta_k, where c_j is the
+    first-row sequence of ``stability._first_rows`` for
+    CompanionOperator(m - 1, alpha, beta): c_0 = 1, c_j = alpha c_{j-1} +
+    beta c_{j-m}.  Two bounds on |e_N| follow, with max and sum over
+    c_0 .. c_{N-1} and ||w|| the max over w_0 .. w_N:
+    - telescoping, the local-defect route: sum_k |c_{N-1-k}| |delta_k|;
+    - summation by parts: |beta| ||w|| (2 max_j |c_j| + sum_j |c_{j+1} - c_j|).
+    The telescoping bound inherits the defect's roughness; the summation-by-
+    parts bound keeps order 1 because the variation of c stays bounded in h.
+    Slopes are ``np.polyfit`` fits of log |value| against log h.
+    """
+    gaps, telescoping, by_parts = [], [], []
+    for theta in ROUGH_THETAS:
+        problem = ScalarDelayProblem(a=-1.0, b=-0.8, tau=-1.0,
+                                     history=_weierstrass_history(theta))
+        rows = []
+        for h in ROUGH_STEPS:
+            gap, alpha, beta, w, delta, r = _rough_gap(problem, h)
+            lt_op = companion_operator(problem, h)
+            op = CompanionOperator(lt_op.m - 1, lt_op.alpha, lt_op.beta)
+            assert np.array_equal(alpha, np.full(alpha.size, op.alpha))
+            assert not r.any()
+            c = np.concatenate([seq[2 * op.m + 2:] for _, seq, _
+                                in stability._first_rows(op, alpha.size - 1)])
+            assert abs(gap - c[::-1] @ delta) <= 1e-10 * abs(gap)
+            rows.append((abs(gap), float(np.abs(c[::-1]) @ np.abs(delta)),
+                         abs(op.beta) * float(np.abs(w).max())
+                         * (2.0 * np.abs(c).max() + np.abs(np.diff(c)).sum())))
+        gap_row, tel_row, sbp_row = np.array(rows).T
+        assert (tel_row >= gap_row).all() and (sbp_row >= gap_row).all()
+        gaps.append(gap_row)
+        telescoping.append(tel_row)
+        by_parts.append(sbp_row)
+    ratios = [(float(min(s / g)), float(max(s / g))) for s, g in zip(by_parts, gaps)]
+    gap_slopes, tel_slopes, sbp_slopes = map(_slopes, (gaps, telescoping, by_parts))
+    print("c12: theta, gap slope, telescoping slope, summation-by-parts slope, ratio")
+    for row in zip(ROUGH_THETAS, gap_slopes, tel_slopes, sbp_slopes, ratios):
+        print("  %.2f  %r  %r  %r  %r" % row)
+    assert gap_slopes == pytest.approx(COMPUTED_BOUND_GAP_SLOPES, rel=1e-9)
+    assert tel_slopes == pytest.approx(COMPUTED_TELESCOPING_SLOPES, rel=1e-9)
+    assert sbp_slopes == pytest.approx(COMPUTED_BY_PARTS_SLOPES, rel=1e-9)
+    assert np.array(ratios) == pytest.approx(np.array(COMPUTED_BY_PARTS_RATIOS), rel=1e-9)
+    assert all(lo < hi for lo, hi in zip(tel_slopes, tel_slopes[1:]))
+    assert all(abs(slope - 1.0) <= 0.01 for slope in sbp_slopes)
+
+
+def _impulse_response(alpha: np.ndarray, beta: np.ndarray, m: int) -> np.ndarray:
+    """l_k = e_0^T U_R(N, k+1) e_0 for k < N = len(alpha), by the adjoint sweep.
+
+    U_R(N, k) = R_{N-1} ... R_k is the evolution family of the ie steps
+    R_n: x -> (alpha_n x_0 + beta_n x_{m-1}, x_0, ..., x_{m-2}).  The first
+    entry g_j of R_j^T ... R_{N-1}^T e_0 obeys g_N = 1, g_j = alpha_j g_{j+1}
+    + beta_{j+m-1} g_{j+m} with g_j = 0 past N, and l_k = g_{k+1}.
+    """
+    n = alpha.size
+    g = [0.0] * (n + m + 1)
+    g[n] = 1.0
+    for j in range(n - 1, -1, -1):
+        g[j] = alpha[j] * g[j + 1] + (beta[j + m - 1] * g[j + m] if j + m <= n else 0.0)
+    return np.array(g[1:n + 1])
+
+
+def test_c13_bounded_variation_keeps_order_one_for_a_time_dependent_reaction():
+    """The bounds of c12 for a(t) = -0.5 t, built from the evolution family.
+
+    With the per-step coefficients of ``_rough_gap``, e_N = sum_{k<N} l_k
+    f_k exactly, l from ``_impulse_response``.  The level parts r_k enter
+    both bounds as they stand, L = sum_k |l_k| |r_k|.  With gamma_k =
+    l_k beta_k:
+    - telescoping: sum_k |l_k| |delta_k| + L;
+    - summation by parts: ||w|| (2 max_k |gamma_k| + sum_k |gamma_{k+1} -
+      gamma_k|) + L.
+    The variation sum_k |gamma_{k+1} - gamma_k| / h stays bounded as h
+    falls: the abstract's bounded variation in the non-autonomous setting.
+    """
+    # With constant coefficients the sweep is the reversed first-row sequence.
+    op = CompanionOperator(4, 0.9, -0.3)
+    c = next(stability._first_rows(op, 30))[1][2 * op.m + 2:]
+    swept = _impulse_response(np.full(31, op.alpha), np.full(31, op.beta), op.m + 1)
+    assert np.array_equal(swept, c[::-1])
+    by_parts, telescoping, ratios, variations = [], [], [], []
+    for theta in (0.25, 0.5, 1.0):
+        problem = ScalarDelayProblem(a=-0.5, b=-0.8, tau=-1.0, a_mode="linear",
+                                     history=_weierstrass_history(theta))
+        rows = []
+        for h in ROUGH_STEPS:
+            gap, alpha, beta, w, delta, r = _rough_gap(problem, h)
+            l = _impulse_response(alpha, beta, DelayGrid(h, problem.tau).m)
+            assert abs(gap - l @ (delta + r)) <= 1e-10 * abs(gap)
+            level = float(np.abs(l) @ np.abs(r))
+            gamma = l * beta
+            variation = float(np.abs(np.diff(gamma)).sum())
+            rows.append((abs(gap), float(np.abs(l) @ np.abs(delta)) + level,
+                         float(np.abs(w).max()) * (2.0 * np.abs(gamma).max() + variation)
+                         + level, variation / h))
+        gap_row, tel_row, sbp_row, var_row = np.array(rows).T
+        assert (tel_row >= gap_row).all() and (sbp_row >= gap_row).all()
+        telescoping.append(tel_row)
+        by_parts.append(sbp_row)
+        ratios.append((float(min(sbp_row / gap_row)), float(max(sbp_row / gap_row))))
+        variations.append((float(var_row.min()), float(var_row.max())))
+    tel_slopes, sbp_slopes = _slopes(telescoping), _slopes(by_parts)
+    print("c13: theta, telescoping slope, summation-by-parts slope, ratio, variation/h")
+    for row in zip((0.25, 0.5, 1.0), tel_slopes, sbp_slopes, ratios, variations):
+        print("  %.2f  %r  %r  %r  %r" % row)
+    assert sbp_slopes == pytest.approx(COMPUTED_NONAUTO_BY_PARTS_SLOPES, rel=1e-9)
+    assert np.array(ratios) == pytest.approx(np.array(COMPUTED_NONAUTO_BY_PARTS_RATIOS),
+                                             rel=1e-9)
+    assert tel_slopes == pytest.approx(COMPUTED_NONAUTO_TELESCOPING_SLOPES, rel=1e-9)
+    # The variation does not depend on the history.
+    assert variations == [variations[0]] * 3
+    assert variations[0] == pytest.approx(COMPUTED_NONAUTO_VARIATION, rel=1e-9)
+    assert all(lo < hi for lo, hi in zip(tel_slopes, tel_slopes[1:]))
+    assert all(abs(slope - 1.0) <= 0.01 for slope in sbp_slopes)

@@ -45,9 +45,10 @@ class TestParsing:
         assert ns.out is None
 
     def test_report_subcommands_default_to_json(self):
+        # Reports are JSON only, so they take no --format.
         for args in (["stability"], ["convergence"], ["growth-fit"],
                      ["timing"]):
-            assert parse(args).format == "json"
+            assert not hasattr(parse(args), "format")
 
     @pytest.mark.parametrize("argv", [
         [],
@@ -85,6 +86,9 @@ class TestParsing:
         ["stability", "--a", "inf"],
         ["oracle", "--a=-inf"],
         ["growth-fit", "--b", "nan"],
+        # --preset is the one spelling of the field mode; reports are JSON only.
+        ["pde", "--mode", "nonauto"],
+        ["stability", "--format", "json"],
     ])
     def test_usage_errors_exit_with_code_two(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -213,16 +217,18 @@ class TestPdeOutput:
         main(["pde", "--preset", "paper-nonauto-pde"] + small)
         data = json.loads(capsys.readouterr().out)
         assert data["parameters"]["lambda1"] == 0.2
-        # A preset fixes the mode, so an explicit --mode is a usage error.
-        with pytest.raises(SystemExit) as exc:
-            main(["pde", "--preset", "paper-auto-pde", "--mode", "nonauto"] + small)
-        assert exc.value.code == 2
-        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_mode_flag_selects_the_modulation(self, capsys):
+        # --preset alone selects the mode, auto by default; an explicit
+        # --lambda1 overrides the preset's value.
         small = ["--Nx", "4", "--h", "0.1", "--T", "0.3", "--format", "json"]
-        main(["pde", "--mode", "nonauto"] + small)
-        assert json.loads(capsys.readouterr().out)["parameters"]["lambda1"] == 0.2
+        for argv, lambda1 in ((["pde"], 0.0),
+                              (["pde", "--preset", "paper-auto-pde"], 0.0),
+                              (["pde", "--preset", "paper-nonauto-pde",
+                                "--lambda1", "0.05"], 0.05)):
+            assert main(argv + small) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert data["parameters"]["lambda1"] == lambda1
 
 
     def test_fractional_lag_is_a_runtime_error_naming_the_lag(self, capsys):

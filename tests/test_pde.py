@@ -1,5 +1,6 @@
 """Tridiagonal solves, field steps, and full runs of the delayed heat model."""
 
+import collections
 import ctypes
 import math
 import sys
@@ -655,21 +656,29 @@ class TestRunPde:
     @pytest.mark.parametrize("scheme, lambda1, count", [
         ("ie", 0.0, 1), ("lt", 0.0, 1), ("lt", 0.2, 1), ("ie", 0.2, 0)])
     def test_factorizations_per_run(self, scheme, lambda1, count, monkeypatch):
-        # Both presets (lambda1 0 and 0.2) on a 100-step horizon.  The
-        # modulated ie step solves a dense system and factors nothing
-        # through Tridiag.factorize.
-        calls = []
-        factorize = Tridiag.factorize
+        # Both presets (lambda1 0 and 0.2) on a 100-step horizon.  A run that
+        # factors once substitutes every step through thomas_solve; the
+        # modulated ie step factors nothing and solves one dense system
+        # (dsysv) per step.  These counts are the structure that c05's
+        # wall-clock ratio stands for, and no host changes them.
+        pde._load_lapack()
+        calls = collections.Counter()
 
-        def counted(sys):
-            calls.append(sys)
-            return factorize(sys)
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(Tridiag, "factorize", counted)
+        monkeypatch.setattr(Tridiag, "factorize", counted("factorize", Tridiag.factorize))
+        monkeypatch.setattr(pde, "thomas_solve", counted("thomas_solve", thomas_solve))
+        monkeypatch.setattr(pde.lapack, "dsysv", counted("dsysv", pde.lapack.dsysv))
         prob = PdeProblem(Nx=300, history=oscillating_history, lambda1=lambda1,
                           T_lambda=4.0, **BENCH_KW)
         run_pde(prob, SchemeConfig(h=0.002, T=0.2, scheme=scheme))
-        assert len(calls) == count
+        steps = 100
+        assert (calls["factorize"], calls["thomas_solve"], calls["dsysv"]) == (
+            count, count * steps, (1 - count) * steps)
 
     @pytest.mark.parametrize("scheme, level", [("ie", 1), ("lt", 0)])
     def test_modulated_run_steps_at_the_scheme_time_level(self, scheme, level):
